@@ -25,6 +25,7 @@ use fakeaudit_core::experiments::service_load::run_service_load_persisted;
 use fakeaudit_server::flush_writer;
 use fakeaudit_store::queries::{self, QueryKind, QueryOptions};
 use fakeaudit_store::{open_shared, Store};
+use fakeaudit_telemetry::metrics::rounded_index;
 use fakeaudit_telemetry::Telemetry;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -79,11 +80,7 @@ struct Measured {
 
 impl Measured {
     fn percentile(&self, p: f64) -> f64 {
-        if self.latencies_ms.is_empty() {
-            return 0.0;
-        }
-        let idx = (p * (self.latencies_ms.len() - 1) as f64).round() as usize;
-        self.latencies_ms[idx]
+        rounded_index(&self.latencies_ms, p).unwrap_or(0.0)
     }
 
     fn queries_per_sec(&self) -> f64 {

@@ -21,6 +21,7 @@
 //! elements per second at the median when the group declares a
 //! [`Throughput`].
 
+use fakeaudit_telemetry::metrics::nearest_rank;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -159,8 +160,7 @@ impl Stats {
     pub fn of(mut times: Vec<Duration>, batch: u32) -> Stats {
         assert!(!times.is_empty(), "no samples");
         times.sort_unstable();
-        let rank =
-            |q: f64| times[((q * times.len() as f64).ceil() as usize).clamp(1, times.len()) - 1];
+        let rank = |q: f64| nearest_rank(&times, q).expect("non-empty");
         Stats {
             median: rank(0.5),
             p95: rank(0.95),

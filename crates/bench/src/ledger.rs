@@ -12,242 +12,12 @@
 //! noise tolerance — the CLI exits nonzero on a regression, which is
 //! what lets CI refuse a perf-regressing PR instead of archiving it.
 //!
-//! Everything here is hand-rolled like the rest of the workspace's JSON
-//! handling (`telemetry::sink`, `gateway::wire`): the schemas are small
-//! and closed, so the module carries its own minimal recursive-descent
-//! JSON reader rather than a dependency.
+//! Ledger lines are written by hand in a fixed key order and read back
+//! through the workspace's one JSON codec, `telemetry::json`, like every
+//! other JSON surface in the workspace.
 
+use fakeaudit_telemetry::json::{self, quoted, JsonValue, Num};
 use std::fmt::Write as _;
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value. Only what the bench/ledger schemas need: numbers
-/// are f64 (every headline metric is), object keys keep file order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string (escapes decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, in file order.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Member `key` of an object (`None` otherwise).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The f64 behind a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The str behind a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The slice behind an array.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document (surrounding whitespace allowed).
-///
-/// # Errors
-///
-/// A human-readable message naming the byte offset of the problem.
-pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&b) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", b as char, *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_owned()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(JsonValue::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null", JsonValue::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: JsonValue,
-) -> Result<JsonValue, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("bad literal at byte {}", *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(JsonValue::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_owned()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| format!("bad \\u escape at byte {}", *pos))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape at byte {}", *pos))?;
-                        // The ledger/bench schemas never emit surrogate
-                        // pairs; map unpaired surrogates to U+FFFD.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Multi-byte UTF-8 sequences pass through untouched.
-                let s = &bytes[*pos..];
-                let ch_len = std::str::from_utf8(s)
-                    .map_err(|_| "invalid utf-8 in string".to_owned())?
-                    .chars()
-                    .next()
-                    .map_or(1, char::len_utf8);
-                out.push_str(std::str::from_utf8(&s[..ch_len]).unwrap());
-                *pos += ch_len;
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    expect(bytes, pos, b'{')?;
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Obj(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        members.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Obj(members));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Ledger schema
@@ -301,7 +71,7 @@ impl LedgerEntry {
     ///
     /// A message naming what failed to parse or which field is missing.
     pub fn from_bench_json(label: &str, text: &str) -> Result<Self, String> {
-        let doc = parse_json(text)?;
+        let doc = json::parse(text)?;
         let bench = doc
             .get("bench")
             .and_then(JsonValue::as_str)
@@ -348,27 +118,25 @@ impl LedgerEntry {
         let _ = write!(
             out,
             "{{\"schema_version\":1,\"label\":{},\"bench\":{},\"scenarios\":[",
-            quote(&self.label),
-            quote(&self.bench)
+            quoted(&self.label),
+            quoted(&self.bench)
         );
         for (i, s) in self.scenarios.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let allocs = match s.allocs_per_req {
-                Some(v) => v.to_string(),
-                None => "null".to_owned(),
-            };
             let _ = write!(
                 out,
                 "{{\"name\":{},\"requests_per_sec\":{},\"p50_ms\":{},\"p95_ms\":{},\
-                 \"p99_ms\":{},\"shed_rate\":{},\"allocs_per_req\":{allocs}}}",
-                quote(&s.name),
-                s.requests_per_sec,
-                s.p50_ms,
-                s.p95_ms,
-                s.p99_ms,
-                s.shed_rate,
+                 \"p99_ms\":{},\"shed_rate\":{},\"allocs_per_req\":{}}}",
+                quoted(&s.name),
+                Num(s.requests_per_sec),
+                Num(s.p50_ms),
+                Num(s.p95_ms),
+                Num(s.p99_ms),
+                Num(s.shed_rate),
+                // `None` renders as `null`, like any non-finite number.
+                Num(s.allocs_per_req.unwrap_or(f64::NAN)),
             );
         }
         out.push_str("]}\n");
@@ -379,9 +147,9 @@ impl LedgerEntry {
     ///
     /// # Errors
     ///
-    /// As [`parse_json`], plus missing-field messages.
+    /// As [`json::parse`], plus missing-field messages.
     pub fn parse_line(line: &str) -> Result<Self, String> {
-        let doc = parse_json(line)?;
+        let doc = json::parse(line)?;
         let raw = doc
             .get("scenarios")
             .and_then(JsonValue::as_arr)
@@ -416,24 +184,6 @@ impl LedgerEntry {
             scenarios,
         })
     }
-}
-
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Parses a whole `ledger.jsonl` file (blank lines skipped), oldest
@@ -633,44 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn json_reader_handles_the_bench_schema() {
-        let doc = parse_json(&bench_json(1.0, 100.0)).unwrap();
-        assert_eq!(
-            doc.get("bench").and_then(JsonValue::as_str),
-            Some("gateway")
-        );
-        assert_eq!(
-            doc.get("config")
-                .and_then(|c| c.get("seed"))
-                .and_then(JsonValue::as_f64),
-            Some(7.0)
-        );
-        let scenarios = doc.get("scenarios").and_then(JsonValue::as_arr).unwrap();
-        assert_eq!(scenarios.len(), 1);
-        assert_eq!(
-            scenarios[0].get("p99_ms").and_then(JsonValue::as_f64),
-            Some(3.0)
-        );
-    }
-
-    #[test]
-    fn json_reader_rejects_malformed_input() {
-        assert!(parse_json("{\"a\":").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("{\"a\":1} trailing").is_err());
-        assert!(parse_json("\"unterminated").is_err());
-        assert!(parse_json("nul").is_err());
-        // Escapes and nesting round-trip.
-        let v = parse_json(" {\"s\": \"a\\n\\\"b\\\"\", \"l\": [true, null, -2.5e1]} ").unwrap();
-        assert_eq!(v.get("s").and_then(JsonValue::as_str), Some("a\n\"b\""));
-        assert_eq!(v.get("l").and_then(JsonValue::as_arr).unwrap().len(), 3);
-        assert_eq!(
-            v.get("l").unwrap().as_arr().unwrap()[2].as_f64(),
-            Some(-25.0)
-        );
-    }
-
-    #[test]
     fn ledger_lines_round_trip() {
         let entry = LedgerEntry::from_bench_json("baseline", &bench_json(1.0, 100.0)).unwrap();
         assert_eq!(entry.bench, "gateway");
@@ -685,6 +397,19 @@ mod tests {
         // Byte determinism: same numbers, same line.
         let again = LedgerEntry::from_bench_json("baseline", &bench_json(1.0, 100.0)).unwrap();
         assert_eq!(again.to_jsonl_line(), line);
+    }
+
+    #[test]
+    fn labels_with_tabs_and_carriage_returns_round_trip() {
+        let mut entry = LedgerEntry::from_bench_json("x", &bench_json(1.0, 100.0)).unwrap();
+        entry.label = "run\t2\r\nfinal \"b\"".to_owned();
+        let line = entry.to_jsonl_line();
+        assert!(line.contains("\"label\":\"run\\t2\\r\\nfinal \\\"b\\\"\""));
+        assert_eq!(LedgerEntry::parse_line(line.trim_end()).unwrap(), entry);
+        // Lines written before the shared escaper spelled these `\u0009`
+        // and `\u000d`; they still read back the same.
+        let old = line.replace("\\t", "\\u0009").replace("\\r", "\\u000d");
+        assert_eq!(LedgerEntry::parse_line(old.trim_end()).unwrap(), entry);
     }
 
     #[test]

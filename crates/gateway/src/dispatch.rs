@@ -7,7 +7,7 @@
 //! * admission is an [`AdmissionQueue`] per tool — the same bounded FIFO
 //!   with the same [`OverloadPolicy`] semantics (block, shed-503,
 //!   degrade-to-stale) the discrete-event simulator exercises;
-//! * service goes through [`AuditBackend::serve_traced_at`], so the
+//! * service goes through [`AuditBackend::serve`], so the
 //!   analytics `OnlineService` — cache, quota, Table II response times,
 //!   circuit breaker — is byte-for-byte the simulator's backend;
 //! * bookkeeping produces [`RequestRecord`]s and feeds
@@ -601,7 +601,7 @@ fn serve_one(shared: &Shared, lane: &Lane, backend: &mut BoxedBackend, job: Job)
     // onto the platform's epoch clock.
     let svc_ctx = job.req_ctx.child();
     let backend_ctx = svc_ctx.clone().rebased(now - shared.epoch_secs);
-    match backend.serve_traced_at(&shared.platform, job.target, &backend_ctx, now) {
+    match backend.serve(&shared.platform, job.target, &backend_ctx, now) {
         Ok(response) => {
             let finished = shared.clock.now_secs();
             if job.req_ctx.is_enabled() {
@@ -690,6 +690,8 @@ impl AuditBackend for NullBackend {
         &mut self,
         _platform: &Platform,
         _target: AccountId,
+        _ctx: &TraceContext,
+        _now_secs: f64,
     ) -> Result<ServiceResponse, ServiceError> {
         Err(ServiceError::Unavailable {
             tool: self.0,
@@ -721,6 +723,8 @@ mod tests {
             &mut self,
             _platform: &Platform,
             target: AccountId,
+            _ctx: &TraceContext,
+            _now_secs: f64,
         ) -> Result<ServiceResponse, ServiceError> {
             Ok(ServiceResponse {
                 outcome: AuditOutcome {

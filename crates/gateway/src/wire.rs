@@ -1,51 +1,17 @@
 //! Wire formats: response JSON and the Prometheus text exposition.
 //!
-//! Hand-rolled like the telemetry JSONL sink — the gateway emits a small
-//! closed set of shapes, so a JSON dependency would buy nothing. All
-//! encoders are pure functions over already-computed values; nothing
-//! here touches sockets or clocks.
+//! The gateway emits a small closed set of JSON shapes, each written by
+//! hand in a fixed key order with strings and numbers through the shared
+//! `telemetry::json` codec. All encoders are pure functions over
+//! already-computed values; nothing here touches sockets or clocks.
 
 use crate::dispatch::{Answered, LaneStatus, Rejection};
 use fakeaudit_detectors::ToolId;
 use fakeaudit_store::StoreHealth;
+use fakeaudit_telemetry::json::{escape_into, quoted, Num};
 use fakeaudit_telemetry::{AlertPhase, MetricsSnapshot, MonitorCounts, RetentionStats};
 use fakeaudit_twittersim::AccountId;
 use std::fmt::Write as _;
-
-/// Appends the JSON escape of `s` (no surrounding quotes).
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// A quoted, escaped JSON string.
-fn quoted(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    escape_into(s, &mut out);
-    out.push('"');
-    out
-}
-
-/// Renders an f64 as JSON (non-finite becomes `null`).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
 
 /// The verdict body for an answered audit.
 pub fn verdict_json(tool: ToolId, target: AccountId, answer: &Answered) -> String {
@@ -62,16 +28,16 @@ pub fn verdict_json(tool: ToolId, target: AccountId, answer: &Answered) -> Strin
         quoted(tool.abbrev()),
         quoted(&outcome.tool_name),
         quoted(answer.source.label()),
-        num(outcome.fake_pct()),
+        Num(outcome.fake_pct()),
         counts.inactive,
         counts.fake,
         counts.genuine,
         counts.total(),
         outcome.assessed.len(),
         outcome.api_calls,
-        num(answer.response.response_secs),
-        num(answer.queue_wait_secs),
-        num(answer.service_secs),
+        Num(answer.response.response_secs),
+        Num(answer.queue_wait_secs),
+        Num(answer.service_secs),
         answer.response.assessed_at.as_secs(),
     );
     out
@@ -85,7 +51,7 @@ pub fn rejection_status_and_json(rejection: &Rejection) -> (u16, String) {
             503,
             format!(
                 "{{\"error\":\"breaker_open\",\"retry_in_secs\":{}}}",
-                num(*retry_in_secs)
+                Num(*retry_in_secs)
             ),
         ),
         Rejection::Expired => (504, "{\"error\":\"deadline_expired\"}".to_owned()),
@@ -167,7 +133,7 @@ pub fn health_json(
     let mut out = String::with_capacity(256);
     out.push_str("{\"status\":");
     out.push_str(if draining { "\"draining\"" } else { "\"ok\"" });
-    let _ = write!(out, ",\"uptime_secs\":{},\"tools\":[", num(uptime_secs));
+    let _ = write!(out, ",\"uptime_secs\":{},\"tools\":[", Num(uptime_secs));
     for (i, lane) in lanes.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -253,7 +219,7 @@ pub fn debug_vars_json(vars: &DebugVars<'_>) -> String {
          \"active_connections\":{active_connections},\
          \"dropped_trace_events\":{dropped_trace_events},\"tools\":[",
         quoted(version),
-        num(uptime_secs),
+        Num(uptime_secs),
     );
     for (i, lane) in lanes.iter().enumerate() {
         if i > 0 {
@@ -373,7 +339,7 @@ pub fn prometheus_text(snapshot: &MetricsSnapshot) -> String {
             out,
             "{name}{} {}",
             prom_labels(&key.labels, None),
-            num(*value)
+            Num(*value)
         );
     }
     for (key, hist) in &snapshot.histograms {
@@ -397,7 +363,7 @@ pub fn prometheus_text(snapshot: &MetricsSnapshot) -> String {
             // first bound at or above it; +Inf catches the rest).
             if let Some(ex) = exemplar_pending {
                 if ex.value <= *bound || bound.is_infinite() {
-                    let _ = write!(out, " # {{trace_id=\"{}\"}} {}", ex.trace_id, num(ex.value));
+                    let _ = write!(out, " # {{trace_id=\"{}\"}} {}", ex.trace_id, Num(ex.value));
                     exemplar_pending = None;
                 }
             }
@@ -407,7 +373,7 @@ pub fn prometheus_text(snapshot: &MetricsSnapshot) -> String {
             out,
             "{name}_sum{} {}",
             prom_labels(&key.labels, None),
-            num(hist.sum)
+            Num(hist.sum)
         );
         let _ = writeln!(
             out,

@@ -7,7 +7,7 @@ use fakeaudit_analytics::{ServiceError, ServiceResponse};
 use fakeaudit_detectors::{AuditOutcome, ToolId, VerdictCounts};
 use fakeaudit_gateway::{Gateway, GatewayConfig, ToolPool};
 use fakeaudit_server::{OverloadPolicy, ServerConfig};
-use fakeaudit_telemetry::{Telemetry, WallClock};
+use fakeaudit_telemetry::{Telemetry, TraceContext, WallClock};
 use fakeaudit_twittersim::{AccountId, Platform, SimTime};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -72,6 +72,8 @@ impl fakeaudit_server::AuditBackend for TestBackend {
         &mut self,
         _platform: &Platform,
         target: AccountId,
+        _ctx: &TraceContext,
+        _now_secs: f64,
     ) -> Result<ServiceResponse, ServiceError> {
         if !self.delay.is_zero() {
             std::thread::sleep(self.delay);

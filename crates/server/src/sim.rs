@@ -26,6 +26,7 @@ use fakeaudit_analytics::{OnlineService, ServiceError, ServiceResponse};
 use fakeaudit_detectors::{FollowerAuditor, ToolId};
 use fakeaudit_store::SharedWriter;
 use fakeaudit_telemetry::analyze::names;
+use fakeaudit_telemetry::metrics::rounded_index;
 use fakeaudit_telemetry::{SloMonitor, SpanId, Telemetry, TraceContext};
 use fakeaudit_twittersim::{AccountId, Platform};
 use std::sync::OnceLock;
@@ -38,53 +39,29 @@ use std::sync::OnceLock;
 pub trait AuditBackend {
     /// The tool this backend fronts.
     fn tool(&self) -> ToolId;
-    /// Serves one request at the platform's current time.
+    /// Serves one request for `target`.
+    ///
+    /// `ctx` is the causal position: backends that trace (an
+    /// `OnlineService`) attach their `service.request` subtree under it —
+    /// the simulator passes its open `server.service` span, the gateway
+    /// its rebased one. `now_secs` is the caller's clock (the simulator's
+    /// event-loop seconds since run start, or the gateway's wall clock):
+    /// backends with time-dependent state — an `OnlineService`'s circuit
+    /// breaker cools down in that time — need the advancing clock,
+    /// because the platform clock is frozen for the whole run. Scripted
+    /// backends may ignore either.
     ///
     /// # Errors
     ///
-    /// Propagates the service's [`ServiceError`] (quota, audit failure).
+    /// Propagates the service's [`ServiceError`] (quota, audit failure,
+    /// open breaker).
     fn serve(
-        &mut self,
-        platform: &Platform,
-        target: AccountId,
-    ) -> Result<ServiceResponse, ServiceError>;
-    /// [`AuditBackend::serve`] with a causal position: backends that
-    /// trace (an `OnlineService`) attach their `service.request` subtree
-    /// under `ctx` — the simulator passes its open `server.service` span
-    /// here. The default implementation ignores the context, so scripted
-    /// test backends need not care.
-    ///
-    /// # Errors
-    ///
-    /// As [`AuditBackend::serve`].
-    fn serve_traced(
-        &mut self,
-        platform: &Platform,
-        target: AccountId,
-        ctx: &TraceContext,
-    ) -> Result<ServiceResponse, ServiceError> {
-        let _ = ctx;
-        self.serve(platform, target)
-    }
-    /// [`AuditBackend::serve_traced`] with the simulator's event-loop
-    /// clock (seconds since run start). Backends with time-dependent
-    /// state — an `OnlineService`'s circuit breaker cools down in wall
-    /// time — need the advancing server clock, because the platform clock
-    /// is frozen for the whole run. The default ignores it.
-    ///
-    /// # Errors
-    ///
-    /// As [`AuditBackend::serve`].
-    fn serve_traced_at(
         &mut self,
         platform: &Platform,
         target: AccountId,
         ctx: &TraceContext,
         now_secs: f64,
-    ) -> Result<ServiceResponse, ServiceError> {
-        let _ = now_secs;
-        self.serve_traced(platform, target, ctx)
-    }
+    ) -> Result<ServiceResponse, ServiceError>;
     /// The degrade-to-stale answer, if any report for `target` exists.
     fn serve_stale(&self, target: AccountId) -> Option<ServiceResponse>;
     /// The current circuit-breaker state, for backends that run one (an
@@ -103,23 +80,6 @@ impl<A: FollowerAuditor> AuditBackend for OnlineService<A> {
     }
 
     fn serve(
-        &mut self,
-        platform: &Platform,
-        target: AccountId,
-    ) -> Result<ServiceResponse, ServiceError> {
-        self.request(platform, target)
-    }
-
-    fn serve_traced(
-        &mut self,
-        platform: &Platform,
-        target: AccountId,
-        ctx: &TraceContext,
-    ) -> Result<ServiceResponse, ServiceError> {
-        self.request_in(platform, target, ctx)
-    }
-
-    fn serve_traced_at(
         &mut self,
         platform: &Platform,
         target: AccountId,
@@ -420,15 +380,16 @@ impl ServerReport {
         self.sorted_latencies().to_vec()
     }
 
-    /// Exact nearest-rank percentile of answered-request latency
-    /// (`q` in `[0, 1]`); 0.0 when nothing was answered.
+    /// Exact percentile of answered-request latency (`q` in `[0, 1]`,
+    /// the [`rounded_index`] rule); 0.0 when nothing was answered.
     pub fn latency_percentile(&self, q: f64) -> f64 {
-        percentile(self.sorted_latencies(), q)
+        rounded_index(self.sorted_latencies(), q).unwrap_or(0.0)
     }
 
-    /// Exact nearest-rank percentile of queue wait over answered requests.
+    /// Exact percentile of queue wait over answered requests (the
+    /// [`rounded_index`] rule).
     pub fn queue_wait_percentile(&self, q: f64) -> f64 {
-        percentile(self.sorted_queue_waits(), q)
+        rounded_index(self.sorted_queue_waits(), q).unwrap_or(0.0)
     }
 
     /// Mean worker utilisation across tools in `[0, 1]`.
@@ -525,15 +486,6 @@ fn record_tool_totals(telemetry: &Telemetry, per_tool: &[ToolSummary]) {
         telemetry.gauge_set("server.max_blocked", &labels, t.max_blocked as f64);
         telemetry.gauge_set("server.busy_secs", &labels, t.busy_secs);
     }
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// One tool's worker pool + admission queue + backend.
@@ -865,7 +817,7 @@ impl<'p> ServerSim<'p> {
         let server = &mut self.servers[idx];
         match server
             .backend
-            .serve_traced_at(self.platform, req.target, &backend_ctx, now)
+            .serve(self.platform, req.target, &backend_ctx, now)
         {
             Ok(resp) => {
                 server.idle_workers -= 1;
@@ -1023,6 +975,8 @@ mod tests {
             &mut self,
             _platform: &Platform,
             target: AccountId,
+            _ctx: &TraceContext,
+            _now_secs: f64,
         ) -> Result<ServiceResponse, ServiceError> {
             self.known.push(target);
             Ok(self.response(target, false))
@@ -1315,26 +1269,6 @@ mod tests {
         assert!((rebuilt.per_tool[0].busy_secs - simulated.per_tool[0].busy_secs).abs() < 1e-9);
     }
 
-    #[test]
-    fn percentiles_over_latencies() {
-        let platform = Platform::new();
-        let config = ServerConfig {
-            workers_per_tool: 1,
-            queue_capacity: 8,
-            policy: OverloadPolicy::Block,
-            ..ServerConfig::default()
-        };
-        let trace: Vec<Request> = (0..5)
-            .map(|i| request(i, 0.0, ToolId::FakeClassifier))
-            .collect();
-        let report = sim(&platform, config).run(&trace);
-        // Latencies 10, 20, 30, 40, 50.
-        assert_eq!(report.latency_percentile(0.5), 30.0);
-        assert_eq!(report.latency_percentile(1.0), 50.0);
-        assert_eq!(report.latency_percentile(0.0), 10.0);
-        assert_eq!(report.queue_wait_percentile(1.0), 40.0);
-    }
-
     /// A backend whose every serve errors — exercises the failed path.
     struct FailingBackend;
 
@@ -1347,6 +1281,8 @@ mod tests {
             &mut self,
             _platform: &Platform,
             _target: AccountId,
+            _ctx: &TraceContext,
+            _now_secs: f64,
         ) -> Result<ServiceResponse, ServiceError> {
             Err(ServiceError::Quota(
                 fakeaudit_analytics::quota::QuotaExceeded { limit: 0, day: 0 },

@@ -13,7 +13,7 @@ use fakeaudit_analytics::{ServiceError, ServiceResponse};
 use fakeaudit_detectors::{AuditOutcome, ToolId, VerdictCounts};
 use fakeaudit_server::{AuditBackend, OverloadPolicy, Request, ServerConfig, ServerSim};
 use fakeaudit_telemetry::sink::parse_jsonl;
-use fakeaudit_telemetry::Telemetry;
+use fakeaudit_telemetry::{Telemetry, TraceContext};
 use fakeaudit_twittersim::{AccountId, Platform, SimTime};
 
 const FIXTURE: &str = include_str!("golden/trace.jsonl");
@@ -56,6 +56,8 @@ impl AuditBackend for FixedBackend {
         &mut self,
         _platform: &Platform,
         target: AccountId,
+        _ctx: &TraceContext,
+        _now_secs: f64,
     ) -> Result<ServiceResponse, ServiceError> {
         if target == self.failing {
             return Err(ServiceError::Quota(QuotaExceeded { limit: 0, day: 0 }));

@@ -15,7 +15,8 @@
 //! the event stream *before* their parents; [`TraceTree::build`] tolerates
 //! any order and keeps spans whose parent never closed as extra roots.
 
-use crate::sink::{escape_json_into, push_f64};
+use crate::json::{escape_into, Num};
+use crate::metrics::nearest_rank;
 use crate::trace::{EventKind, SpanId, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -54,17 +55,6 @@ pub mod names {
     pub const API_RETRY: &str = "api.retry";
     /// A circuit-breaker state change: point event with `from`/`to`.
     pub const BREAKER_TRANSITION: &str = "breaker.transition";
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice. `None` when
-/// empty; `q` is clamped to `[0, 1]`.
-fn nearest_rank(sorted: &[f64], q: f64) -> Option<f64> {
-    if sorted.is_empty() {
-        return None;
-    }
-    let q = q.clamp(0.0, 1.0);
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    Some(sorted[rank.saturating_sub(1).min(sorted.len() - 1)])
 }
 
 /// An indexed view of a trace as a forest of span trees.
@@ -503,20 +493,18 @@ pub fn chrome_trace_json(events: &[TraceEvent], opts: &ChromeTraceOptions) -> St
         let mut line = String::from("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":");
         let _ = write!(line, "{}", opts.pid);
         let _ = write!(line, ",\"tid\":{tid},\"args\":{{\"name\":\"");
-        escape_json_into(tool, &mut line);
+        escape_into(tool, &mut line);
         line.push_str("\"}}");
         emit(line, &mut out, &mut first);
     }
     for (i, e) in events.iter().enumerate() {
         let mut line = String::from("{\"name\":\"");
-        escape_json_into(&e.name, &mut line);
+        escape_into(&e.name, &mut line);
         line.push_str("\",\"ph\":\"");
         line.push_str(if e.kind == EventKind::Span { "X" } else { "i" });
-        line.push_str("\",\"ts\":");
-        push_f64(e.t0 * 1e6, &mut line);
+        let _ = write!(line, "\",\"ts\":{}", Num(e.t0 * 1e6));
         if e.kind == EventKind::Span {
-            line.push_str(",\"dur\":");
-            push_f64(((e.t1 - e.t0) * 1e6).max(0.0), &mut line);
+            let _ = write!(line, ",\"dur\":{}", Num(((e.t1 - e.t0) * 1e6).max(0.0)));
         } else {
             line.push_str(",\"s\":\"t\"");
         }
@@ -533,9 +521,9 @@ pub fn chrome_trace_json(events: &[TraceEvent], opts: &ChromeTraceOptions) -> St
             }
             first_arg = false;
             line.push('"');
-            escape_json_into(k, &mut line);
+            escape_into(k, &mut line);
             line.push_str("\":\"");
-            escape_json_into(v, &mut line);
+            escape_into(v, &mut line);
             line.push('"');
         }
         line.push_str("}}");
@@ -998,15 +986,5 @@ mod tests {
         assert_eq!(report.windows.len(), 3);
         assert_eq!(report.windows[0].offered, 1);
         assert_eq!(report.windows[2].offered, 1);
-    }
-
-    #[test]
-    fn nearest_rank_edges() {
-        assert_eq!(nearest_rank(&[], 0.5), None);
-        assert_eq!(nearest_rank(&[4.0], 0.0), Some(4.0));
-        assert_eq!(nearest_rank(&[4.0], 1.0), Some(4.0));
-        assert_eq!(nearest_rank(&[1.0, 2.0, 3.0, 4.0], 0.5), Some(2.0));
-        assert_eq!(nearest_rank(&[1.0, 2.0], 5.0), Some(2.0)); // q clamped
-        assert_eq!(nearest_rank(&[1.0, 2.0], -1.0), Some(1.0));
     }
 }

@@ -13,6 +13,8 @@
 //! * [`metrics`] — a thread-safe registry of counters, gauges and
 //!   histograms with labelled names (`api.calls{endpoint=followers_ids}`,
 //!   `cache.hit{tool=TA}`, `service.response_secs{tool,source}` …);
+//! * [`json`] — the workspace's one JSON codec: string escaper, number
+//!   writer and reader, shared by every JSON surface;
 //! * [`sink`] — the JSON-lines trace encoding (buffered via
 //!   [`JsonlSink`]) and its parser;
 //! * [`clock`] — the [`Clock`] seam between simulated seconds and
@@ -60,6 +62,7 @@
 
 pub mod analyze;
 pub mod clock;
+pub mod json;
 pub mod metrics;
 pub mod monitor;
 pub mod profile;

@@ -201,6 +201,40 @@ impl HistogramSnapshot {
     }
 }
 
+/// Exact percentiles of raw samples.
+///
+/// [`HistogramSnapshot::quantile`] estimates from buckets; these two pick
+/// an observed sample from an ascending-sorted slice, `q` clamped to
+/// `[0, 1]`, `None` when the slice is empty. They are two rules, not one,
+/// because committed outputs were produced under each:
+///
+/// * [`nearest_rank`] — index `ceil(q·n) − 1`, the textbook nearest-rank
+///   percentile (at least a `q` share of samples sit at or below it). Trace
+///   analysis (latency attribution, `SloSpec`), the E11 load generator's
+///   `BENCH_gateway.json` / ledger numbers and the bench harness's median
+///   and p95 use it.
+/// * [`rounded_index`] — index `round(q·(n − 1))`, the nearest sample to
+///   the linearly interpolated position. The service simulator's
+///   `ServerReport` latency and queue-wait percentiles (E8) and the E13
+///   query-load bench use it.
+///
+/// The two differ by at most one sample. Moving every caller to one rule
+/// would shift committed E8 numbers, so it waits for a declared
+/// regeneration.
+pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    let n = sorted.len();
+    let rank = (q.clamp(0.0, 1.0) * n as f64).ceil() as usize;
+    sorted.get(rank.clamp(1, n.max(1)) - 1).copied()
+}
+
+/// The `round(q·(n − 1))` rule; see [`nearest_rank`] for which callers
+/// use which rule and why.
+pub fn rounded_index<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    let last = sorted.len().checked_sub(1)?;
+    let index = (q.clamp(0.0, 1.0) * last as f64).round() as usize;
+    Some(sorted[index.min(last)])
+}
+
 #[derive(Debug, Clone, PartialEq)]
 struct Histogram {
     count: u64,
@@ -487,6 +521,42 @@ mod tests {
         let (bound, count) = *h.buckets.last().unwrap();
         assert!(bound.is_infinite());
         assert_eq!(count, 1);
+    }
+
+    #[test]
+    fn nearest_rank_edges() {
+        assert_eq!(nearest_rank::<f64>(&[], 0.5), None);
+        assert_eq!(nearest_rank(&[4.0], 0.0), Some(4.0));
+        assert_eq!(nearest_rank(&[4.0], 1.0), Some(4.0));
+        assert_eq!(nearest_rank(&[1.0, 2.0, 3.0, 4.0], 0.5), Some(2.0));
+        assert_eq!(nearest_rank(&[1.0, 2.0], 5.0), Some(2.0)); // q clamped
+        assert_eq!(nearest_rank(&[1.0, 2.0], -1.0), Some(1.0));
+    }
+
+    #[test]
+    fn percentiles_are_nearest_rank() {
+        // The E11 load generator's sorted latencies.
+        let lat = [0.1, 0.2, 0.3, 0.4];
+        assert_eq!(nearest_rank(&lat, 0.5), Some(0.2));
+        assert_eq!(nearest_rank(&lat, 1.0), Some(0.4));
+        assert_eq!(nearest_rank(&lat, 0.0), Some(0.1));
+        assert_eq!(nearest_rank::<f64>(&[], 0.5).unwrap_or(0.0), 0.0);
+    }
+
+    #[test]
+    fn percentiles_over_latencies() {
+        // A one-worker simulator run of five back-to-back 10 s requests:
+        // latencies 10..50, queue waits 0..40.
+        let lat = [10.0, 20.0, 30.0, 40.0, 50.0];
+        assert_eq!(rounded_index(&lat, 0.5), Some(30.0));
+        assert_eq!(rounded_index(&lat, 1.0), Some(50.0));
+        assert_eq!(rounded_index(&lat, 0.0), Some(10.0));
+        let waits = [0.0, 10.0, 20.0, 30.0, 40.0];
+        assert_eq!(rounded_index(&waits, 1.0), Some(40.0));
+        assert_eq!(rounded_index::<f64>(&[], 0.5), None);
+        assert_eq!(rounded_index(&lat, 7.0), Some(50.0)); // q clamped
+                                                          // Where the two rules part: four samples at q = 0.5.
+        assert_eq!(rounded_index(&[1.0, 2.0, 3.0, 4.0], 0.5), Some(3.0));
     }
 
     #[test]

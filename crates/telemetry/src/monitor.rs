@@ -43,6 +43,7 @@
 //! quantiles, giving `GET /metrics/history` a short flight recorder
 //! without external storage.
 
+use crate::json::quoted;
 use crate::metrics::HistogramSnapshot;
 use crate::sync::lock;
 use crate::trace::SpanId;
@@ -856,8 +857,8 @@ impl SloMonitor {
                 .unwrap_or(AlertPhase::Idle);
             let _ = write!(
                 out,
-                "{{\"route\":\"{}\",\"status\":\"{}\"}}",
-                escape(route),
+                "{{\"route\":{},\"status\":\"{}\"}}",
+                quoted(route),
                 worst.as_str()
             );
         }
@@ -868,11 +869,11 @@ impl SloMonitor {
             }
             let _ = write!(
                 out,
-                "{{\"t\":{:.3},\"route\":\"{}\",\"rule\":\"{}\",\"signal\":\"{}\",\
+                "{{\"t\":{:.3},\"route\":{},\"rule\":{},\"signal\":\"{}\",\
                  \"to\":\"{}\",\"short_burn\":{:.4},\"long_burn\":{:.4},\"exemplar\":{}}}",
                 t.at_secs,
-                escape(&t.route),
-                escape(&t.rule),
+                quoted(&t.route),
+                quoted(&t.rule),
                 t.signal,
                 t.to,
                 t.short_burn,
@@ -905,7 +906,7 @@ impl SloMonitor {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\":{}", escape(name), delta);
+                let _ = write!(out, "{}:{}", quoted(name), delta);
             }
             out.push_str("},\"quantiles\":{");
             for (j, (name, q)) in frame.quantiles.iter().enumerate() {
@@ -914,8 +915,8 @@ impl SloMonitor {
                 }
                 let _ = write!(
                     out,
-                    "\"{}\":{{\"p50\":{:.6},\"p95\":{:.6},\"p99\":{:.6}}}",
-                    escape(name),
+                    "{}:{{\"p50\":{:.6},\"p95\":{:.6},\"p99\":{:.6}}}",
+                    quoted(name),
                     q[0],
                     q[1],
                     q[2]
@@ -956,26 +957,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// Minimal JSON string escaping (names are internal identifiers, but a
-/// route label could in principle carry anything).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1236,11 +1217,5 @@ mod tests {
             assert!(monitor.tick(f64::from(t)).is_empty());
         }
         assert_eq!(monitor.counts().pending, 0);
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 }

@@ -10,44 +10,20 @@
 //! recorded through a [`TraceContext`](crate::TraceContext)); flat records
 //! keep the pre-causal shape. The schema deliberately contains **only
 //! sim-time fields** (`t0`, `t1`); no wall-clock timestamp ever enters a
-//! record, so traces from identical seeds are byte-identical. Numbers are
-//! rendered with Rust's shortest round-trip `f64` formatting, which is
-//! itself deterministic.
+//! record, so traces from identical seeds are byte-identical. Strings and
+//! numbers go through the [`json`] codec's escaper and number writer
+//! (shortest round-trip `f64`, non-finite as `null`), which are
+//! themselves deterministic.
 //!
-//! [`parse_jsonl`] reads the encoding back — the `fakeaudit trace`
-//! subcommands analyze traces from disk without any external JSON
-//! dependency. The parser accepts exactly what the writer emits (fixed
-//! key order, one record per line), which is all it ever needs to read.
+//! [`parse_jsonl`] reads the encoding back through [`json::parse`] — the
+//! `fakeaudit trace` subcommands analyze traces from disk with it. It
+//! takes one record per line with keys in any order, and rejects unknown
+//! keys, missing required keys and values of the wrong type.
 
+use crate::json::{self, escape_into, JsonValue, Num};
 use crate::trace::{SpanId, TraceEvent};
 use std::fmt::Write as _;
 use std::io::{self, Write};
-
-/// Appends the JSON escape of `s` (without surrounding quotes) to `out`.
-pub(crate) fn escape_json_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-pub(crate) fn push_f64(v: f64, out: &mut String) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        // JSON has no Infinity/NaN; `null` keeps the line parseable.
-        out.push_str("null");
-    }
-}
 
 /// Encodes one record as a single JSON line (no trailing newline).
 pub fn event_to_json(e: &TraceEvent) -> String {
@@ -55,11 +31,8 @@ pub fn event_to_json(e: &TraceEvent) -> String {
     out.push_str("{\"type\":\"");
     out.push_str(e.kind.as_str());
     out.push_str("\",\"name\":\"");
-    escape_json_into(&e.name, &mut out);
-    out.push_str("\",\"t0\":");
-    push_f64(e.t0, &mut out);
-    out.push_str(",\"t1\":");
-    push_f64(e.t1, &mut out);
+    escape_into(&e.name, &mut out);
+    let _ = write!(out, "\",\"t0\":{},\"t1\":{}", Num(e.t0), Num(e.t1));
     if let Some(SpanId(id)) = e.id {
         let _ = write!(out, ",\"id\":{id}");
     }
@@ -72,9 +45,9 @@ pub fn event_to_json(e: &TraceEvent) -> String {
             out.push(',');
         }
         out.push('"');
-        escape_json_into(k, &mut out);
+        escape_into(k, &mut out);
         out.push_str("\":\"");
-        escape_json_into(v, &mut out);
+        escape_into(v, &mut out);
         out.push('"');
     }
     out.push_str("}}");
@@ -236,132 +209,65 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// A cursor over one JSONL record.
-struct Scanner<'a> {
-    rest: &'a str,
-}
-
-impl<'a> Scanner<'a> {
-    fn expect(&mut self, token: &str) -> Result<(), String> {
-        match self.rest.strip_prefix(token) {
-            Some(rest) => {
-                self.rest = rest;
-                Ok(())
-            }
-            None => Err(format!(
-                "expected {token:?} at {:?}",
-                &self.rest[..self.rest.len().min(20)]
-            )),
-        }
-    }
-
-    fn peek(&self, token: &str) -> bool {
-        self.rest.starts_with(token)
-    }
-
-    /// Reads a JSON string (after the opening quote), unescaping.
-    fn string(&mut self) -> Result<String, String> {
-        self.expect("\"")?;
-        let mut out = String::new();
-        let mut chars = self.rest.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.rest = &self.rest[i + 1..];
-                    return Ok(out);
-                }
-                '\\' => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'u')) => {
-                        let hex: String = (0..4)
-                            .filter_map(|_| chars.next())
-                            .map(|(_, c)| c)
-                            .collect();
-                        let code = u32::from_str_radix(&hex, 16)
-                            .map_err(|e| format!("bad \\u escape {hex:?}: {e}"))?;
-                        out.push(
-                            char::from_u32(code).ok_or_else(|| format!("bad codepoint {code}"))?,
-                        );
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                c => out.push(c),
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    /// Reads a JSON number or `null` (as NaN).
-    fn number(&mut self) -> Result<f64, String> {
-        if self.peek("null") {
-            self.rest = &self.rest[4..];
-            return Ok(f64::NAN);
-        }
-        let end = self
-            .rest
-            .find(|c: char| !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')))
-            .unwrap_or(self.rest.len());
-        let (num, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        num.parse().map_err(|e| format!("bad number {num:?}: {e}"))
-    }
-}
-
 /// Parses one line of the writer's encoding back into a [`TraceEvent`].
+///
+/// Keys may come in any order; `type`, `name`, `t0`, `t1` and `attrs`
+/// are required, `id` and `parent` optional, and anything else is
+/// rejected. A `null` time reads as NaN, as the writer encodes it.
 fn parse_line(line: &str) -> Result<TraceEvent, String> {
-    let mut s = Scanner { rest: line.trim() };
-    s.expect("{\"type\":")?;
-    let kind = match s.string()?.as_str() {
+    let doc = json::parse(line)?;
+    let JsonValue::Obj(members) = &doc else {
+        return Err("record is not an object".into());
+    };
+    if let Some((key, _)) = members.iter().find(|(k, _)| {
+        !matches!(
+            k.as_str(),
+            "type" | "name" | "t0" | "t1" | "id" | "parent" | "attrs"
+        )
+    }) {
+        return Err(format!("unknown key {key:?}"));
+    }
+    let field = |key: &str| doc.get(key).ok_or_else(|| format!("missing {key:?}"));
+    let string = |key: &str| {
+        field(key)?
+            .as_str()
+            .ok_or_else(|| format!("{key:?} is not a string"))
+    };
+    let time = |key: &str| match field(key)? {
+        JsonValue::Null => Ok(f64::NAN),
+        v => v.as_f64().ok_or_else(|| format!("{key:?} is not a number")),
+    };
+    let span_id = |key: &str| {
+        doc.get(key)
+            .map(|v| {
+                v.as_f64()
+                    .map(|n| SpanId(n as u64))
+                    .ok_or_else(|| format!("{key:?} is not a number"))
+            })
+            .transpose()
+    };
+    let kind = match string("type")? {
         "span" => crate::EventKind::Span,
         "event" => crate::EventKind::Point,
         other => return Err(format!("unknown record type {other:?}")),
     };
-    s.expect(",\"name\":")?;
-    let name = s.string()?;
-    s.expect(",\"t0\":")?;
-    let t0 = s.number()?;
-    s.expect(",\"t1\":")?;
-    let t1 = s.number()?;
-    let mut id = None;
-    if s.peek(",\"id\":") {
-        s.expect(",\"id\":")?;
-        id = Some(SpanId(s.number()? as u64));
-    }
-    let mut parent = None;
-    if s.peek(",\"parent\":") {
-        s.expect(",\"parent\":")?;
-        parent = Some(SpanId(s.number()? as u64));
-    }
-    s.expect(",\"attrs\":{")?;
-    let mut attrs = Vec::new();
-    if !s.peek("}") {
-        loop {
-            let key = s.string()?;
-            s.expect(":")?;
-            let value = s.string()?;
-            attrs.push((key, value));
-            if s.peek(",") {
-                s.expect(",")?;
-            } else {
-                break;
-            }
-        }
-    }
-    s.expect("}}")?;
-    if !s.rest.is_empty() {
-        return Err(format!("trailing input {:?}", s.rest));
-    }
+    let JsonValue::Obj(raw_attrs) = field("attrs")? else {
+        return Err("\"attrs\" is not an object".into());
+    };
+    let attrs = raw_attrs
+        .iter()
+        .map(|(k, v)| match v.as_str() {
+            Some(v) => Ok((k.clone(), v.to_owned())),
+            None => Err(format!("attr {k:?} is not a string")),
+        })
+        .collect::<Result<_, String>>()?;
     Ok(TraceEvent {
         kind,
-        name,
-        t0,
-        t1,
-        id,
-        parent,
+        name: string("name")?.to_owned(),
+        t0: time("t0")?,
+        t1: time("t1")?,
+        id: span_id("id")?,
+        parent: span_id("parent")?,
         attrs,
     })
 }
@@ -388,6 +294,9 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::tests::hostile_string;
+    use fakeaudit_prop::prelude::*;
+    use fakeaudit_prop::{DetStream, FromFn};
 
     #[test]
     fn fixed_key_order_and_values() {
@@ -422,12 +331,10 @@ mod tests {
 
     #[test]
     fn strings_are_escaped() {
-        let e = TraceEvent::point("x", 0.0, &[("k", "a\"b\\c\nd")]);
+        let e = TraceEvent::point("x", 0.0, &[("k", "a\"b\\c\nd"), ("c", "\u{1}")]);
         let line = event_to_json(&e);
         assert!(line.contains("a\\\"b\\\\c\\nd"));
-        let mut s = String::new();
-        escape_json_into("\u{1}", &mut s);
-        assert_eq!(s, "\\u0001");
+        assert!(line.contains("\"c\":\"\\u0001\""));
     }
 
     #[test]
@@ -495,6 +402,61 @@ mod tests {
         let line = "{\"type\":\"event\",\"name\":\"x\",\"t0\":null,\"t1\":null,\"attrs\":{}}";
         let e = &parse_jsonl(line).unwrap()[0];
         assert!(e.t0.is_nan() && e.t1.is_nan());
+    }
+
+    #[test]
+    fn parse_rejects_unknown_keys_missing_keys_and_wrong_types() {
+        let ok = "{\"type\":\"event\",\"name\":\"x\",\"t0\":0,\"t1\":0,\"attrs\":{}}";
+        assert_eq!(parse_jsonl(ok).unwrap().len(), 1);
+        let extra = "{\"type\":\"event\",\"name\":\"x\",\"t0\":0,\"t1\":0,\"x\":1,\"attrs\":{}}";
+        assert!(parse_jsonl(extra)
+            .unwrap_err()
+            .message
+            .contains("unknown key"));
+        let no_t0 = "{\"type\":\"event\",\"name\":\"x\",\"t1\":0,\"attrs\":{}}";
+        assert!(parse_jsonl(no_t0)
+            .unwrap_err()
+            .message
+            .contains("missing \"t0\""));
+        let str_t1 = "{\"type\":\"event\",\"name\":\"x\",\"t0\":0,\"t1\":\"0\",\"attrs\":{}}";
+        assert!(parse_jsonl(str_t1)
+            .unwrap_err()
+            .message
+            .contains("\"t1\" is not a number"));
+    }
+
+    #[test]
+    fn parse_accepts_any_key_order() {
+        let line = "{\"attrs\":{\"k\":\"v\"},\"parent\":1,\"t1\":2,\"id\":2,\
+                    \"t0\":1,\"name\":\"s\",\"type\":\"span\"}";
+        let e = TraceEvent::span_in("s", 1.0, 2.0, &[("k", "v")], SpanId(2), Some(SpanId(1)));
+        assert_eq!(parse_jsonl(line).unwrap(), vec![e]);
+    }
+
+    fn hostile_event(rng: &mut DetStream) -> TraceEvent {
+        let name = hostile_string(rng);
+        let t0 = (rng.next_u64() % 1_000_000) as f64 / 64.0;
+        let t1 = t0 + (rng.next_u64() % 1_000) as f64 * 0.1;
+        let mut e = TraceEvent::span(&name, t0, t1, &[]);
+        e.attrs = (0..rng.next_u64() % 4)
+            .map(|_| (hostile_string(rng), hostile_string(rng)))
+            .collect();
+        if rng.next_u64() >> 63 == 0 {
+            e.id = Some(SpanId(rng.next_u64() % (1 << 53)));
+            e.parent = (rng.next_u64() >> 63 == 0).then_some(SpanId(1));
+        }
+        e
+    }
+
+    proptest! {
+        #[test]
+        fn hostile_events_survive_write_then_parse(
+            events in prop::collection::vec(FromFn(hostile_event), 0..6)
+        ) {
+            let mut buf = Vec::new();
+            write_jsonl(&events, &mut buf).unwrap();
+            prop_assert_eq!(parse_jsonl(std::str::from_utf8(&buf).unwrap()).unwrap(), events);
+        }
     }
 
     #[test]
