@@ -284,37 +284,28 @@ impl<A: FollowerAuditor> OnlineService<A> {
         target: AccountId,
     ) -> Result<ServiceResponse, ServiceError> {
         let ctx = self.telemetry.root_context();
-        self.request_in(platform, target, &ctx)
+        let breaker_now = platform.now().as_secs() as f64;
+        self.request_in_at(platform, target, &ctx, breaker_now)
     }
 
-    /// [`OnlineService::request`] with an explicit causal position: the
-    /// `service.request` span (plus its `cache.lookup` point,
+    /// [`OnlineService::request`] with an explicit causal position and
+    /// breaker clock.
+    ///
+    /// The `service.request` span (plus its `cache.lookup` point,
     /// `detector.audit` subtree and per-page `api.call` spans) attaches
     /// under `ctx` — the audit service threads its `server.service` span
     /// here so every answered request becomes one trace tree. With a root
     /// context the same spans are emitted as trace roots, which is what
     /// [`OnlineService::request`] does.
     ///
-    /// # Errors
-    ///
-    /// As [`OnlineService::request`].
-    pub fn request_in(
-        &mut self,
-        platform: &Platform,
-        target: AccountId,
-        ctx: &TraceContext,
-    ) -> Result<ServiceResponse, ServiceError> {
-        let breaker_now = platform.now().as_secs() as f64;
-        self.request_in_at(platform, target, ctx, breaker_now)
-    }
-
-    /// [`OnlineService::request_in`] with an explicit wall clock for the
-    /// circuit breaker. A driving simulator (the audit server) advances
-    /// its own event-loop time without touching the platform clock; it
-    /// passes that time here so an opened circuit cools down and
-    /// half-opens as *simulated* seconds pass, not platform seconds —
-    /// under a frozen platform clock the breaker would otherwise never
-    /// recover. Trace spans keep their platform-time base either way.
+    /// `breaker_now` is the wall clock for the circuit breaker. A driving
+    /// simulator (the audit server) advances its own event-loop time
+    /// without touching the platform clock; it passes that time here so
+    /// an opened circuit cools down and half-opens as *simulated* seconds
+    /// pass, not platform seconds — under a frozen platform clock the
+    /// breaker would otherwise never recover. Trace spans keep their
+    /// platform-time base either way; [`OnlineService::request`] passes
+    /// the platform clock.
     ///
     /// # Errors
     ///
@@ -749,8 +740,11 @@ mod tests {
         let mut svc = OnlineService::new(StatusPeople::new(), ServiceProfile::statuspeople(), 11)
             .with_telemetry(tel.clone());
         let parent = tel.root_context().child();
-        svc.request_in(&platform, t.target, &parent).unwrap(); // fresh
-        svc.request_in(&platform, t.target, &parent).unwrap(); // cached
+        let now = platform.now().as_secs() as f64;
+        svc.request_in_at(&platform, t.target, &parent, now)
+            .unwrap(); // fresh
+        svc.request_in_at(&platform, t.target, &parent, now)
+            .unwrap(); // cached
         parent.record("server.service", 0.0, 100.0, &[]);
         let events = tel.events();
         let by_name = |n: &str| -> Vec<_> { events.iter().filter(|e| e.name == n).collect() };

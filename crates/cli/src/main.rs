@@ -34,8 +34,8 @@ use fakeaudit_store::{compact, open_shared_with, repair, verify, FsyncPolicy, St
 use fakeaudit_telemetry::analyze::chrome_trace_json;
 use fakeaudit_telemetry::sink::parse_jsonl;
 use fakeaudit_telemetry::{
-    ChromeTraceOptions, LatencyAttribution, MonitorConfig, RunReport, SelfTimeProfile, SloMonitor,
-    SloSpec, Telemetry, TraceEvent, TraceTree, WallClock,
+    replay_trace, ChromeTraceOptions, LatencyAttribution, MonitorConfig, RunReport,
+    SelfTimeProfile, SloMonitor, Telemetry, TraceEvent, TraceTree, WallClock,
 };
 use fakeaudit_twitter_api::crawl::CrawlBudget;
 use fakeaudit_twitter_api::{ApiConfig, ApiSession, FaultPlan, RetryPolicy};
@@ -144,8 +144,11 @@ USAGE:
 
   fakeaudit trace slo --input PATH [--window S] [--step S] [--quantile Q]
                       [--latency-slo S] [--availability F]
-      Evaluate latency and availability objectives over sliding sim-time
-      windows, reporting error-budget burn rates per window.
+      Replay the trace through the SLO monitor and report, per route and
+      step boundary, the window's request counts and latency and
+      availability error-budget burn rates (a window is violated when
+      either burn exceeds 1). --step is the monitor's bucket width
+      (0: one window wide); windows quantise to whole buckets.
 
   fakeaudit trace profile --input PATH [--output PATH] [--top N]
       Fold a JSONL trace into per-span self-time stacks (inferno /
@@ -1119,34 +1122,68 @@ fn trace_export(args: &ParsedArgs, events: &[TraceEvent]) -> Result<(), String> 
 }
 
 fn trace_slo(args: &ParsedArgs, events: &[TraceEvent]) -> Result<(), String> {
-    let d = SloSpec::default();
-    let spec = SloSpec {
-        window_secs: args
-            .get_or("window", d.window_secs)
-            .map_err(|e| e.to_string())?,
-        step_secs: args
-            .get_or("step", d.step_secs)
-            .map_err(|e| e.to_string())?,
-        latency_quantile: args
-            .get_or("quantile", d.latency_quantile)
-            .map_err(|e| e.to_string())?,
-        latency_objective_secs: args
-            .get_or("latency-slo", d.latency_objective_secs)
-            .map_err(|e| e.to_string())?,
-        availability_objective: args
-            .get_or("availability", d.availability_objective)
-            .map_err(|e| e.to_string())?,
-    };
-    if spec.window_secs.is_nan() || spec.window_secs <= 0.0 {
-        return Err("--window must be positive".into());
+    let window: f64 = args.get_or("window", 120.0).map_err(|e| e.to_string())?;
+    let step: f64 = args.get_or("step", 60.0).map_err(|e| e.to_string())?;
+    let mut config = MonitorConfig::sim_default(0);
+    config.latency_quantile = args
+        .get_or("quantile", config.latency_quantile)
+        .map_err(|e| e.to_string())?;
+    config.latency_objective_secs = args
+        .get_or("latency-slo", config.latency_objective_secs)
+        .map_err(|e| e.to_string())?;
+    config.availability_objective = args
+        .get_or("availability", config.availability_objective)
+        .map_err(|e| e.to_string())?;
+    if !(window > 0.0 && window.is_finite()) {
+        return Err("--window must be positive and finite".into());
     }
-    if !(spec.latency_quantile > 0.0 && spec.latency_quantile < 1.0) {
+    if !(config.latency_quantile > 0.0 && config.latency_quantile < 1.0) {
         return Err("--quantile must be in (0, 1)".into());
     }
-    if !(spec.availability_objective > 0.0 && spec.availability_objective <= 1.0) {
+    if !(config.availability_objective > 0.0 && config.availability_objective <= 1.0) {
         return Err("--availability must be in (0, 1]".into());
     }
-    print!("{}", spec.evaluate(events).render());
+    config.bucket_secs = if step > 0.0 { step } else { window };
+    if !config.bucket_secs.is_finite() {
+        return Err("--step must be finite".into());
+    }
+    println!(
+        "SLO: p{:.0} latency < {}s, availability >= {:.2}% (window {window}s, step {}s)",
+        config.latency_quantile * 100.0,
+        config.latency_objective_secs,
+        config.availability_objective * 100.0,
+        config.bucket_secs,
+    );
+    println!(
+        "{:>9} {:<6} {:>7} {:>6} {:>6} {:>8} {:>8} {:>9} {:>9}",
+        "at_s", "route", "total", "bad", "slow", "avail%", "slow%", "av_burn", "lat_burn"
+    );
+    let rows = replay_trace(config, events, window);
+    for r in &rows {
+        let w = &r.burn;
+        let pct = |n: u64| {
+            if w.total == 0 {
+                0.0
+            } else {
+                100.0 * n as f64 / w.total as f64
+            }
+        };
+        println!(
+            "{:>9.1} {:<6} {:>7} {:>6} {:>6} {:>8.2} {:>8.2} {:>9.2} {:>9.2}{}",
+            r.at_secs,
+            r.route,
+            w.total,
+            w.bad,
+            w.slow,
+            100.0 - pct(w.bad),
+            pct(w.slow),
+            w.availability_burn,
+            w.latency_burn,
+            if w.violated() { "  VIOLATED" } else { "" },
+        );
+    }
+    let violated = rows.iter().filter(|r| r.burn.violated()).count();
+    println!("{violated} of {} windows violated the SLO", rows.len());
     Ok(())
 }
 

@@ -5,8 +5,9 @@
 //! reruns the prewarmed E8 sweep with live causal tracing on, so every
 //! answered request leaves a `server.request` → `server.queue_wait` /
 //! `server.service` span tree, then decomposes the p50 and p99 request
-//! per tool into queue / crawl / cache / compute shares and evaluates an
-//! SLO (p95 latency + availability) over sliding sim-time windows.
+//! per tool into queue / crawl / cache / compute shares and judges an
+//! SLO (p95 latency + availability) by replaying the trace through the
+//! SLO monitor's sliding windows.
 //!
 //! The sweep is cache-served end to end (every target prewarmed at every
 //! tool), so the crawl share is structurally zero here — fresh-crawl
@@ -23,7 +24,7 @@
 
 use fakeaudit_server::{generate, LoadSpec, OverloadPolicy, ServerConfig, ServerSim};
 use fakeaudit_stats::rng::derive_seed;
-use fakeaudit_telemetry::{Breakdown, LatencyAttribution, SloSpec, Telemetry};
+use fakeaudit_telemetry::{replay_trace, Breakdown, LatencyAttribution, MonitorConfig, Telemetry};
 use fakeaudit_twittersim::AccountId;
 use std::fmt::Write as _;
 
@@ -62,12 +63,12 @@ pub struct AttributionRow {
     pub p99_compute: f64,
 }
 
-/// SLO verdict for one rate: sliding-window evaluation of the trace.
+/// SLO verdict for one rate: the trace replayed through the SLO monitor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloRow {
     /// Offered arrival rate in requests/second.
     pub offered_rate: f64,
-    /// Windows evaluated.
+    /// (route, step boundary) windows evaluated.
     pub windows: u64,
     /// Windows where either error budget burned past 1×.
     pub violated: u64,
@@ -94,7 +95,7 @@ pub struct LatencyAttributionResult {
     pub queue_capacity: usize,
     /// Prewarmed targets in the popularity set.
     pub targets: usize,
-    /// Latency objective (seconds at the spec quantile).
+    /// Latency objective (seconds at the SLO quantile).
     pub latency_objective_secs: f64,
     /// Availability objective in `[0, 1]`.
     pub availability_objective: f64,
@@ -116,7 +117,7 @@ fn run_cell(
     trace: &[fakeaudit_server::Request],
     rate: f64,
     config: ServerConfig,
-    spec: &SloSpec,
+    objectives: &MonitorConfig,
 ) -> (Vec<AttributionRow>, SloRow) {
     let clones = base.clone();
     let telemetry = Telemetry::enabled();
@@ -149,20 +150,23 @@ fn run_cell(
         })
         .collect();
 
-    let slo = spec.evaluate(&events);
-    let violated = slo.violations().len() as u64;
-    let worst = |f: fn(&fakeaudit_telemetry::SloWindow) -> f64| {
-        slo.windows.iter().map(f).fold(0.0, f64::max)
+    let windows = replay_trace(objectives.clone(), &events, SLO_WINDOW_SECS);
+    let worst = |f: fn(&fakeaudit_telemetry::WindowBurn) -> f64| {
+        windows.iter().map(|w| f(&w.burn)).fold(0.0, f64::max)
     };
     let slo_row = SloRow {
         offered_rate: rate,
-        windows: slo.windows.len() as u64,
-        violated,
+        windows: windows.len() as u64,
+        violated: windows.iter().filter(|w| w.burn.violated()).count() as u64,
         worst_availability_burn: worst(|w| w.availability_burn),
         worst_latency_burn: worst(|w| w.latency_burn),
     };
     (rows, slo_row)
 }
+
+/// SLO window width (simulated seconds), judged at every
+/// [`MonitorConfig::bucket_secs`] boundary.
+const SLO_WINDOW_SECS: f64 = 120.0;
 
 /// Runs the E9 latency-attribution sweep.
 ///
@@ -185,7 +189,10 @@ pub fn run_latency_attribution(scale: Scale, seed: u64) -> LatencyAttributionRes
         degraded_secs: 0.5,
         deadline_secs: None,
     };
-    let spec = SloSpec::default();
+    let objectives = MonitorConfig {
+        bucket_secs: 60.0,
+        ..MonitorConfig::sim_default(seed)
+    };
 
     let (platform, targets) = build_targets(scale, seed, TARGETS);
     let base = build_services(scale, seed, &platform, &targets);
@@ -205,8 +212,8 @@ pub fn run_latency_attribution(scale: Scale, seed: u64) -> LatencyAttributionRes
             .iter()
             .zip(&rates)
             .map(|(trace, &rate)| {
-                let (platform, base, spec) = (&platform, &base, &spec);
-                s.spawn(move || run_cell(platform, base, trace, rate, config, spec))
+                let (platform, base, objectives) = (&platform, &base, &objectives);
+                s.spawn(move || run_cell(platform, base, trace, rate, config, objectives))
             })
             .collect();
         handles
@@ -229,8 +236,8 @@ pub fn run_latency_attribution(scale: Scale, seed: u64) -> LatencyAttributionRes
         workers_per_tool: config.workers_per_tool,
         queue_capacity: config.queue_capacity,
         targets: TARGETS,
-        latency_objective_secs: spec.latency_objective_secs,
-        availability_objective: spec.availability_objective,
+        latency_objective_secs: objectives.latency_objective_secs,
+        availability_objective: objectives.availability_objective,
     }
 }
 
@@ -283,7 +290,7 @@ pub fn render(r: &LatencyAttributionResult) -> String {
     }
     let _ = writeln!(
         out,
-        "SLO: p95 latency <= {:.0}s and availability >= {:.0}% over sliding windows",
+        "SLO: p95 latency < {:.0}s and availability >= {:.0}% over sliding windows",
         r.latency_objective_secs,
         r.availability_objective * 100.0
     );

@@ -105,6 +105,13 @@ impl DetStream {
         }
     }
 
+    /// A stream starting from the raw splitmix64 `state`, for callers
+    /// whose committed outputs pin a state seeded without
+    /// [`derive_seed`].
+    pub fn from_state(state: u64) -> DetStream {
+        DetStream { state }
+    }
+
     /// The next 64 uniform bits (one [`splitmix64`] step).
     pub fn next_u64(&mut self) -> u64 {
         let out = splitmix64(self.state);

@@ -1,5 +1,5 @@
-//! Trace-tree analysis: waterfalls, critical paths, latency attribution,
-//! Chrome trace export, and SLO evaluation.
+//! Trace-tree analysis: waterfalls, critical paths, latency attribution
+//! and Chrome trace export.
 //!
 //! Everything here consumes the causal records produced by
 //! [`TraceContext`](crate::TraceContext) — spans with [`SpanId`]s and
@@ -7,9 +7,9 @@
 //! read side of the tracing tentpole: the simulators *emit* trees, this
 //! module answers *why was that request slow* ([`LatencyAttribution`]),
 //! *what did it spend its time on* ([`TraceTree::waterfall`],
-//! [`TraceTree::critical_path`]), *can I look at it in Perfetto*
-//! ([`chrome_trace_json`]) and *did the service meet its objectives*
-//! ([`SloSpec::evaluate`]).
+//! [`TraceTree::critical_path`]) and *can I look at it in Perfetto*
+//! ([`chrome_trace_json`]). Whether the service met its objectives is
+//! the SLO monitor's question: [`crate::monitor::replay_trace`].
 //!
 //! Tracers record spans at close time, so children legitimately appear in
 //! the event stream *before* their parents; [`TraceTree::build`] tolerates
@@ -533,218 +533,6 @@ pub fn chrome_trace_json(events: &[TraceEvent], opts: &ChromeTraceOptions) -> St
     out
 }
 
-/// Service-level objectives evaluated over sliding sim-time windows.
-#[derive(Debug, Clone)]
-pub struct SloSpec {
-    /// Window width in simulated seconds.
-    pub window_secs: f64,
-    /// Window start stride; `window_secs / 2` gives the classic
-    /// half-overlapping sliding evaluation.
-    pub step_secs: f64,
-    /// The latency quantile under objective (e.g. `0.95`).
-    pub latency_quantile: f64,
-    /// The latency objective at that quantile, in simulated seconds.
-    pub latency_objective_secs: f64,
-    /// Fraction of offered requests that must be answered (completed or
-    /// degraded), e.g. `0.99`.
-    pub availability_objective: f64,
-}
-
-impl Default for SloSpec {
-    fn default() -> Self {
-        Self {
-            window_secs: 120.0,
-            step_secs: 60.0,
-            latency_quantile: 0.95,
-            latency_objective_secs: 30.0,
-            availability_objective: 0.99,
-        }
-    }
-}
-
-/// One evaluated window.
-#[derive(Debug, Clone)]
-pub struct SloWindow {
-    /// Window start (inclusive), simulated seconds.
-    pub start: f64,
-    /// Window end (exclusive).
-    pub end: f64,
-    /// Requests that finished (or were dropped) inside the window.
-    pub offered: usize,
-    /// Answered requests (completed + degraded).
-    pub answered: usize,
-    /// Shed + failed requests.
-    pub dropped: usize,
-    /// Answered fraction (1.0 for an empty window).
-    pub availability: f64,
-    /// Latency at the spec quantile over answered requests.
-    pub latency_at_q: Option<f64>,
-    /// Fraction of answered requests slower than the latency objective.
-    pub slow_fraction: f64,
-    /// Availability error-budget burn rate: bad-fraction divided by the
-    /// budget `1 - availability_objective`. `1.0` = burning exactly at
-    /// budget; `> 1` exhausts the budget early.
-    pub availability_burn: f64,
-    /// Latency error-budget burn rate: slow-fraction over
-    /// `1 - latency_quantile`.
-    pub latency_burn: f64,
-}
-
-impl SloWindow {
-    /// Whether both objectives held in this window (burn rates at or
-    /// under budget).
-    pub fn ok(&self) -> bool {
-        self.availability_burn <= 1.0 && self.latency_burn <= 1.0
-    }
-}
-
-/// The result of evaluating an [`SloSpec`] against a trace.
-#[derive(Debug, Clone)]
-pub struct SloReport {
-    /// The spec evaluated.
-    pub spec: SloSpec,
-    /// Every window, in start order.
-    pub windows: Vec<SloWindow>,
-}
-
-impl SloSpec {
-    /// Evaluates this spec against a trace.
-    ///
-    /// Requests are assigned to windows by **completion time** (`t1` of
-    /// the `server.request` span; the timestamp of `server.shed` /
-    /// `server.failed` points). Windows slide from sim time 0 by
-    /// `step_secs` until they cover the last request.
-    pub fn evaluate(&self, events: &[TraceEvent]) -> SloReport {
-        let tree = TraceTree::build(events);
-        // (finish_time, latency: Some(answered) / None(dropped))
-        let mut requests: Vec<(f64, Option<f64>)> = Vec::new();
-        for &root in &tree.request_roots() {
-            let e = tree.event(root);
-            requests.push((e.t1, Some((e.t1 - e.t0).max(0.0))));
-        }
-        for e in events {
-            if e.name == names::SERVER_SHED || e.name == names::SERVER_FAILED {
-                requests.push((e.t0, None));
-            }
-        }
-        requests.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-        let horizon = requests.last().map(|&(t, _)| t).unwrap_or(0.0);
-        let step = if self.step_secs > 0.0 {
-            self.step_secs
-        } else {
-            self.window_secs
-        };
-        let mut windows = Vec::new();
-        let mut start = 0.0;
-        while start <= horizon {
-            let end = start + self.window_secs;
-            let in_window: Vec<&(f64, Option<f64>)> = requests
-                .iter()
-                .filter(|&&(t, _)| t >= start && t < end)
-                .collect();
-            let offered = in_window.len();
-            let mut latencies: Vec<f64> = in_window.iter().filter_map(|&&(_, l)| l).collect();
-            latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            let answered = latencies.len();
-            let dropped = offered - answered;
-            let availability = if offered == 0 {
-                1.0
-            } else {
-                answered as f64 / offered as f64
-            };
-            let latency_at_q = nearest_rank(&latencies, self.latency_quantile);
-            let slow = latencies
-                .iter()
-                .filter(|&&l| l > self.latency_objective_secs)
-                .count();
-            let slow_fraction = if answered == 0 {
-                0.0
-            } else {
-                slow as f64 / answered as f64
-            };
-            let avail_budget = (1.0 - self.availability_objective).max(f64::EPSILON);
-            let lat_budget = (1.0 - self.latency_quantile).max(f64::EPSILON);
-            windows.push(SloWindow {
-                start,
-                end,
-                offered,
-                answered,
-                dropped,
-                availability,
-                latency_at_q,
-                slow_fraction,
-                availability_burn: (1.0 - availability) / avail_budget,
-                latency_burn: slow_fraction / lat_budget,
-            });
-            start += step;
-        }
-        SloReport {
-            spec: self.clone(),
-            windows,
-        }
-    }
-}
-
-impl SloReport {
-    /// Windows that violated at least one objective.
-    pub fn violations(&self) -> Vec<&SloWindow> {
-        self.windows.iter().filter(|w| !w.ok()).collect()
-    }
-
-    /// Renders the window table plus a verdict line.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "SLO: p{:.0} latency <= {}s, availability >= {:.2}% (window {}s, step {}s)",
-            self.spec.latency_quantile * 100.0,
-            self.spec.latency_objective_secs,
-            self.spec.availability_objective * 100.0,
-            self.spec.window_secs,
-            self.spec.step_secs,
-        );
-        let _ = writeln!(
-            out,
-            "{:>9} {:>9} {:>8} {:>9} {:>8} {:>9} {:>10} {:>9} {:>9}",
-            "start_s",
-            "end_s",
-            "offered",
-            "answered",
-            "avail%",
-            "p_lat_s",
-            "slow%",
-            "av_burn",
-            "lat_burn"
-        );
-        for w in &self.windows {
-            let _ = writeln!(
-                out,
-                "{:>9.1} {:>9.1} {:>8} {:>9} {:>8.2} {:>9} {:>10.2} {:>9.2} {:>9.2}{}",
-                w.start,
-                w.end,
-                w.offered,
-                w.answered,
-                w.availability * 100.0,
-                w.latency_at_q
-                    .map(|l| format!("{l:.3}"))
-                    .unwrap_or_else(|| "-".to_string()),
-                w.slow_fraction * 100.0,
-                w.availability_burn,
-                w.latency_burn,
-                if w.ok() { "" } else { "  VIOLATED" },
-            );
-        }
-        let violated = self.violations().len();
-        let _ = writeln!(
-            out,
-            "{} of {} windows violated the SLO",
-            violated,
-            self.windows.len()
-        );
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -928,63 +716,5 @@ mod tests {
         let json = chrome_trace_json(&tel.events(), &ChromeTraceOptions::default());
         assert!(json.contains("\"tid\":1"));
         assert!(json.contains("\"tid\":2"));
-    }
-
-    #[test]
-    fn slo_windows_count_offered_and_burn() {
-        let tel = Telemetry::enabled();
-        one_request(&tel, 0.0, "TA"); // finishes t=10, latency 10
-        one_request(&tel, 5.0, "TA"); // finishes t=15, latency 10
-        tel.root_context()
-            .point(names::SERVER_SHED, 12.0, &[("tool", "TA")]);
-        let spec = SloSpec {
-            window_secs: 20.0,
-            step_secs: 20.0,
-            latency_quantile: 0.95,
-            latency_objective_secs: 5.0,
-            availability_objective: 0.99,
-        };
-        let report = spec.evaluate(&tel.events());
-        assert_eq!(report.windows.len(), 1);
-        let w = &report.windows[0];
-        assert_eq!(w.offered, 3);
-        assert_eq!(w.answered, 2);
-        assert_eq!(w.dropped, 1);
-        assert!((w.availability - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(w.latency_at_q, Some(10.0));
-        assert_eq!(w.slow_fraction, 1.0); // both answered exceed 5s
-        assert!(w.availability_burn > 1.0);
-        assert!(w.latency_burn > 1.0);
-        assert!(!w.ok());
-        assert_eq!(report.violations().len(), 1);
-        let rendered = report.render();
-        assert!(rendered.contains("VIOLATED"));
-        assert!(rendered.contains("1 of 1 windows violated"));
-    }
-
-    #[test]
-    fn slo_on_healthy_trace_passes() {
-        let tel = Telemetry::enabled();
-        one_request(&tel, 0.0, "TA");
-        let spec = SloSpec {
-            latency_objective_secs: 30.0,
-            ..SloSpec::default()
-        };
-        let report = spec.evaluate(&tel.events());
-        assert!(report.violations().is_empty());
-        assert!(report.render().contains("0 of"));
-    }
-
-    #[test]
-    fn slo_windows_slide_by_step() {
-        let tel = Telemetry::enabled();
-        one_request(&tel, 0.0, "TA"); // finishes at 10
-        one_request(&tel, 140.0, "TA"); // finishes at 150
-        let spec = SloSpec::default(); // window 120, step 60
-        let report = spec.evaluate(&tel.events());
-        // starts at 0, 60, 120 — covers horizon 150
-        assert_eq!(report.windows.len(), 3);
-        assert_eq!(report.windows[0].offered, 1);
-        assert_eq!(report.windows[2].offered, 1);
     }
 }

@@ -21,13 +21,14 @@
 //!   `Instant`-based wall time, so the wall-clock gateway and the
 //!   simulators share one analysis layer;
 //! * [`analyze`] — the trace-tree analysis layer: per-request waterfalls,
-//!   critical-path latency attribution, the Chrome trace-event exporter
-//!   and the sliding-window SLO evaluator;
-//! * [`monitor`] — the *streaming* half of the SLO story: per-route
-//!   sliding time-bucket windows, multi-window multi-burn-rate alerting
-//!   with a `Pending → Firing → Resolved` state machine, a fixed-capacity
-//!   metrics history ring, and the tail-based trace sampler that decides
-//!   which request trees the bounded trace buffer must retain;
+//!   critical-path latency attribution and the Chrome trace-event
+//!   exporter;
+//! * [`monitor`] — the one SLO evaluator: per-route sliding time-bucket
+//!   windows, multi-window multi-burn-rate alerting with a
+//!   `Pending → Firing → Resolved` state machine, a fixed-capacity
+//!   metrics history ring, the tail-based trace sampler that decides
+//!   which request trees the bounded trace buffer must retain, and
+//!   [`replay_trace`], which judges a finished trace the same way;
 //! * [`profile`] — per-span self-time aggregation folding whole traces
 //!   into deterministic folded-stack flamegraph text, plus the opt-in
 //!   counting global allocator (feature `alloc-profile`);
@@ -71,15 +72,12 @@ pub mod sink;
 pub mod sync;
 pub mod trace;
 
-pub use analyze::{
-    Breakdown, ChromeTraceOptions, LatencyAttribution, SloReport, SloSpec, SloWindow,
-    ToolAttribution, TraceTree,
-};
+pub use analyze::{Breakdown, ChromeTraceOptions, LatencyAttribution, ToolAttribution, TraceTree};
 pub use clock::{Clock, ManualClock, WallClock};
 pub use metrics::{Exemplar, HistogramSnapshot, MetricKey, MetricsRegistry, MetricsSnapshot};
 pub use monitor::{
-    AlertPhase, AlertTransition, BurnRule, HistoryFrame, MonitorConfig, MonitorCounts, Signal,
-    SloMonitor, TransitionKind,
+    replay_trace, AlertPhase, AlertTransition, BurnRule, HistoryFrame, MonitorConfig,
+    MonitorCounts, ReplayWindow, Signal, SloMonitor, TransitionKind, WindowBurn,
 };
 pub use profile::{AllocCounts, AllocScope, SelfTimeProfile};
 pub use report::RunReport;

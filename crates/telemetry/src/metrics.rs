@@ -209,8 +209,8 @@ impl HistogramSnapshot {
 /// because committed outputs were produced under each:
 ///
 /// * [`nearest_rank`] — index `ceil(q·n) − 1`, the textbook nearest-rank
-///   percentile (at least a `q` share of samples sit at or below it). Trace
-///   analysis (latency attribution, `SloSpec`), the E11 load generator's
+///   percentile (at least a `q` share of samples sit at or below it).
+///   Trace analysis (latency attribution), the E11 load generator's
 ///   `BENCH_gateway.json` / ledger numbers and the bench harness's median
 ///   and p95 use it.
 /// * [`rounded_index`] — index `round(q·(n − 1))`, the nearest sample to

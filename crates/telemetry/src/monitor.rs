@@ -1,13 +1,14 @@
-//! The streaming SLO monitor: live burn-rate alerting, metrics history,
-//! and tail-based trace sampling.
+//! The SLO monitor: burn-rate alerting, metrics history, and tail-based
+//! trace sampling.
 //!
-//! [`crate::analyze::SloSpec`] answers the SLO question *offline*, after
-//! a trace is complete. This module is the live half the serving stack
-//! needs: a [`SloMonitor`] fed one observation per finished request and
-//! ticked on the [`crate::Clock`] seam — explicit sim seconds from the
-//! discrete-event server, wall seconds from the gateway's background
-//! thread — so the same engine is byte-deterministic under a simulator
-//! and real-time under load.
+//! This is the crate's one SLO evaluator. Live, a [`SloMonitor`] is fed
+//! one observation per finished request and ticked on the
+//! [`crate::Clock`] seam — explicit sim seconds from the discrete-event
+//! server, wall seconds from the gateway's background thread — so the
+//! same engine is byte-deterministic under a simulator and real-time
+//! under load. Offline, [`replay_trace`] feeds a finished trace through
+//! the same monitor and reads its windows with [`SloMonitor::window`],
+//! so `trace slo` and E9 judge a run exactly as the live monitor does.
 //!
 //! Three cooperating pieces:
 //!
@@ -19,8 +20,8 @@
 //!   budget faster than the rule's threshold — the short window gives
 //!   fast detection and fast resolution, the long window keeps one noisy
 //!   minute from paging. Availability and latency burn are tracked as
-//!   separate signals per rule, with burn defined exactly as in
-//!   [`crate::analyze::SloSpec`]: `bad_fraction / (1 − objective)`.
+//!   separate signals per rule, each burn `bad_fraction / (1 − objective)`
+//!   over the window's requests (see [`WindowBurn`]).
 //! * **A `Pending → Firing → Resolved` state machine** per
 //!   (route, rule, signal), [`AlertMachine`], in which no transition
 //!   skips a state: a breach must dwell `pending_secs` before it fires
@@ -43,12 +44,14 @@
 //! quantiles, giving `GET /metrics/history` a short flight recorder
 //! without external storage.
 
+use crate::analyze::names;
 use crate::json::quoted;
 use crate::metrics::HistogramSnapshot;
 use crate::sync::lock;
-use crate::trace::SpanId;
+use crate::trace::{EventKind, SpanId, TraceEvent};
 use crate::Telemetry;
-use std::collections::{BTreeMap, VecDeque};
+use fakeaudit_stats::rng::DetStream;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -131,10 +134,9 @@ pub struct MonitorConfig {
     /// Availability objective, e.g. `0.99`.
     pub availability_objective: f64,
     /// The latency quantile whose complement is the slow-request budget
-    /// (0.95 ⇒ 5 % of requests may be slow), mirroring
-    /// [`crate::analyze::SloSpec`].
+    /// (0.95 ⇒ 5 % of requests may be slow).
     pub latency_quantile: f64,
-    /// A request slower than this (seconds) is "slow".
+    /// A request whose latency is at or over this (seconds) is "slow".
     pub latency_objective_secs: f64,
     /// The fast/slow window pairs to evaluate.
     pub rules: Vec<BurnRule>,
@@ -155,8 +157,8 @@ pub struct MonitorConfig {
 
 impl MonitorConfig {
     /// Defaults scaled to *simulated* seconds (Table-II-style audit
-    /// latencies run tens of seconds): detection windows of minutes,
-    /// latency objective matching [`crate::analyze::SloSpec`]'s 30 s.
+    /// latencies run tens of seconds): detection windows of minutes and
+    /// a 30 s latency objective.
     #[must_use]
     pub fn sim_default(seed: u64) -> Self {
         Self {
@@ -501,21 +503,55 @@ impl Series {
         }
     }
 
-    /// `(total, bad, slow)` over the window `(now − window, now]`.
-    fn window_counts(&self, bucket_secs: f64, now: f64, window: f64) -> (u64, u64, u64) {
-        let (mut total, mut bad, mut slow) = (0, 0, 0);
+    /// Counts and burns over the window `(now − window, now]`: every
+    /// bucket overlapping it counts whole. The one place a burn rate is
+    /// computed.
+    fn window(&self, config: &MonitorConfig, now: f64, window: f64) -> WindowBurn {
+        let mut w = WindowBurn::default();
         for b in &self.buckets {
-            let start = b.index as f64 * bucket_secs;
+            let start = b.index as f64 * config.bucket_secs;
             if start > now {
                 continue; // A completion observed ahead of the tick clock.
             }
-            if start + bucket_secs > now - window {
-                total += b.total;
-                bad += b.bad;
-                slow += b.slow;
+            if start + config.bucket_secs > now - window {
+                w.total += b.total;
+                w.bad += b.bad;
+                w.slow += b.slow;
             }
         }
-        (total, bad, slow)
+        if w.total > 0 {
+            let total = w.total as f64;
+            let burn =
+                |n: u64, objective: f64| (n as f64 / total) / (1.0 - objective).max(f64::EPSILON);
+            w.availability_burn = burn(w.bad, config.availability_objective);
+            w.latency_burn = burn(w.slow, config.latency_quantile);
+        }
+        w
+    }
+}
+
+/// One window's request counts and error-budget burn rates, as every
+/// [`BurnRule`] window is judged and [`SloMonitor::window`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct WindowBurn {
+    /// Requests observed in the window.
+    pub total: u64,
+    /// Of those, not ok (failed, shed, expired, 5xx).
+    pub bad: u64,
+    /// Of those, with latency at or over the latency objective.
+    pub slow: u64,
+    /// `bad / total` over the availability budget
+    /// `1 − availability_objective`: `1.0` burns exactly at budget, `> 1`
+    /// exhausts it early. `0` for an empty window.
+    pub availability_burn: f64,
+    /// `slow / total` over the latency budget `1 − latency_quantile`.
+    pub latency_burn: f64,
+}
+
+impl WindowBurn {
+    /// Whether either budget burned faster than it accrues (burn `> 1`).
+    pub fn violated(&self) -> bool {
+        self.availability_burn > 1.0 || self.latency_burn > 1.0
     }
 }
 
@@ -527,7 +563,7 @@ struct MonitorState {
     /// Transitions evicted once the log hit [`LOG_CAPACITY`].
     log_dropped: u64,
     counts: MonitorCounts,
-    rng: u64,
+    rng: DetStream,
     history: VecDeque<HistoryFrame>,
     prev_counters: BTreeMap<String, u64>,
     next_history_at: f64,
@@ -564,7 +600,7 @@ impl SloMonitor {
                 log: Vec::new(),
                 log_dropped: 0,
                 counts: MonitorCounts::default(),
-                rng: seed ^ 0x006D_6F6E_6974_6F72, // "monitor"
+                rng: DetStream::from_state(seed ^ 0x006D_6F6E_6974_6F72), // "monitor"
                 history: VecDeque::new(),
                 prev_counters: BTreeMap::new(),
                 next_history_at,
@@ -613,7 +649,7 @@ impl SloMonitor {
                 state.counts.traces_kept += 1;
                 self.telemetry
                     .counter_add("monitor.traces", &[("decision", "kept")], 1);
-            } else if next_unit(&mut state.rng) < self.config.sample_keep {
+            } else if state.rng.next_f64() < self.config.sample_keep {
                 self.telemetry.protect_tree(root);
                 state.counts.traces_sampled += 1;
                 self.telemetry
@@ -633,8 +669,6 @@ impl SloMonitor {
     pub fn tick(&self, now: f64) -> Vec<AlertTransition> {
         let config = &*self.config;
         let max_window = config.max_window_secs();
-        let avail_budget = (1.0 - config.availability_objective).max(f64::EPSILON);
-        let lat_budget = (1.0 - config.latency_quantile).max(f64::EPSILON);
         let mut state = lock(&self.state);
         state.last_tick = now;
         let mut transitions = Vec::new();
@@ -643,20 +677,15 @@ impl SloMonitor {
         for (route, series) in &mut state.series {
             series.evict(config.bucket_secs, now, max_window);
             for (r, rule) in config.rules.iter().enumerate() {
-                let windows = [rule.short_secs, rule.long_secs].map(|w| {
-                    let (total, bad, slow) = series.window_counts(config.bucket_secs, now, w);
-                    if total == 0 {
-                        (0.0, 0.0)
-                    } else {
-                        (
-                            (bad as f64 / total as f64) / avail_budget,
-                            (slow as f64 / total as f64) / lat_budget,
-                        )
-                    }
-                });
+                let [short, long] =
+                    [rule.short_secs, rule.long_secs].map(|w| series.window(config, now, w));
                 let signals = [
-                    (Signal::Availability, windows[0].0, windows[1].0),
-                    (Signal::Latency, windows[0].1, windows[1].1),
+                    (
+                        Signal::Availability,
+                        short.availability_burn,
+                        long.availability_burn,
+                    ),
+                    (Signal::Latency, short.latency_burn, long.latency_burn),
                 ];
                 for (s, (signal, short_burn, long_burn)) in signals.into_iter().enumerate() {
                     let breach =
@@ -789,6 +818,18 @@ impl SloMonitor {
         while state.history.len() > self.config.history_capacity.max(1) {
             state.history.pop_front();
         }
+    }
+
+    /// Counts and burns for `route` over the window `(now − secs, now]`,
+    /// bucket-quantised: the figures [`SloMonitor::tick`] judges each rule
+    /// window by. An unseen route reads as an empty window. Each tick
+    /// evicts buckets behind the longest rule window, so on a ticked
+    /// monitor a longer `secs` reads short.
+    pub fn window(&self, route: &str, now: f64, secs: f64) -> WindowBurn {
+        lock(&self.state)
+            .series
+            .get(route)
+            .map_or_else(WindowBurn::default, |s| s.window(&self.config, now, secs))
     }
 
     /// Cumulative and active counters.
@@ -939,15 +980,81 @@ impl SloMonitor {
     }
 }
 
-/// Splitmix64: the sampler's seeded coin. Self-contained so the crate
-/// stays dependency-free.
-fn next_unit(state: &mut u64) -> f64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
+/// One row of [`replay_trace`]: `route`'s window as judged at `at_secs`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReplayWindow {
+    /// The route (the events' `tool` attribute).
+    pub route: String,
+    /// The bucket boundary the window ends at.
+    pub at_secs: f64,
+    /// The window's counts and burns.
+    pub burn: WindowBurn,
+}
+
+/// Replays a finished trace through a fresh [`SloMonitor`], reading every
+/// route's `window_secs` window at each bucket boundary.
+///
+/// Each request maps to the observation the discrete-event server feeds
+/// its live monitor, routed by the event's `tool` attribute:
+/// * a root `server.request` span with outcome `completed` or `degraded`
+///   is ok, with latency `t1 − t0`, at `t1`;
+/// * a `server.shed`, `server.failed` or `server.expired` point is not
+///   ok, with no latency, at its time. (The trace does not carry a
+///   failed request's queue wait, so a failure is never also slow.)
+///
+/// Observations are fed in time order and read the way the server ticks
+/// its monitor: at boundary `t = k · bucket_secs` the monitor has seen
+/// every observation before `t`, so a window that is a whole number of
+/// buckets covers exactly `[t − window_secs, t)`. Boundaries run from
+/// `bucket_secs` to the first one past the last observation. Rows are
+/// boundary-major, routes in name order.
+pub fn replay_trace(
+    config: MonitorConfig,
+    events: &[TraceEvent],
+    window_secs: f64,
+) -> Vec<ReplayWindow> {
+    let mut observations: Vec<(f64, &str, Option<f64>, bool)> = events
+        .iter()
+        .filter_map(|e| {
+            let (at, latency, ok) = match e.name.as_str() {
+                names::SERVER_REQUEST
+                    if e.kind == EventKind::Span
+                        && e.parent.is_none()
+                        && matches!(e.attr("outcome"), Some("completed" | "degraded")) =>
+                {
+                    (e.t1, Some(e.t1 - e.t0), true)
+                }
+                names::SERVER_SHED | names::SERVER_FAILED | names::SERVER_EXPIRED => {
+                    (e.t0, None, false)
+                }
+                _ => return None,
+            };
+            Some((at, e.attr("tool").unwrap_or("-"), latency, ok))
+        })
+        .collect();
+    observations.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let routes: BTreeSet<&str> = observations.iter().map(|o| o.1).collect();
+    let monitor = SloMonitor::new(config, Telemetry::disabled());
+    let bucket = monitor.config().bucket_secs;
+    let boundaries = observations
+        .last()
+        .map_or(0, |o| (o.0 / bucket).floor() as u64 + 1);
+    let mut pending = observations.iter().peekable();
+    let mut rows = Vec::new();
+    for k in 1..=boundaries {
+        let at_secs = k as f64 * bucket;
+        while let Some(&(at, route, latency, ok)) = pending.next_if(|o| o.0 < at_secs) {
+            monitor.observe_request(route, at, latency, ok, None);
+        }
+        for &route in &routes {
+            rows.push(ReplayWindow {
+                route: route.to_string(),
+                at_secs,
+                burn: monitor.window(route, at_secs, window_secs),
+            });
+        }
+    }
+    rows
 }
 
 /// Formats an f64 with no trailing `.0` surprises for config fields.
@@ -1206,6 +1313,113 @@ mod tests {
         assert_eq!(status.len(), 1);
         assert_eq!(status[0].0, "audit");
         assert_eq!(status[0].1, AlertPhase::Idle, "resolved by the end");
+    }
+
+    /// Records one root `server.request` span the way the server does.
+    fn request(tel: &Telemetry, tool: &str, outcome: &str, t0: f64, t1: f64) {
+        tel.root_context().child().record(
+            names::SERVER_REQUEST,
+            t0,
+            t1,
+            &[("tool", tool), ("outcome", outcome)],
+        );
+    }
+
+    fn refusal(tel: &Telemetry, name: &str, tool: &str, t: f64) {
+        tel.root_context().point(name, t, &[("tool", tool)]);
+    }
+
+    #[test]
+    fn replay_counts_expiries_and_matches_live_observations() {
+        // Deadline expiries cost availability, as they do live.
+        let tel = Telemetry::enabled();
+        for t in 0..4 {
+            request(&tel, "audit", "completed", f64::from(t), f64::from(t) + 1.0);
+        }
+        refusal(&tel, names::SERVER_EXPIRED, "audit", 2.5);
+        let rows = replay_trace(tight_config(1), &tel.events(), 5.0);
+        let last = &rows.last().unwrap().burn;
+        assert_eq!((last.total, last.bad), (5, 1), "the expiry is not ok");
+        assert!(last.availability_burn > 0.0);
+        assert!(rows.iter().any(|r| r.burn.violated()));
+
+        // One request of each outcome per route replays to the counts a
+        // monitor fed the same observations live would hold. The degraded
+        // request's latency equals the objective exactly: slow.
+        let tel = Telemetry::enabled();
+        let live = SloMonitor::new(tight_config(1), Telemetry::disabled());
+        for route in ["FC", "TA"] {
+            request(&tel, route, "completed", 0.0, 3.0);
+            live.observe_request(route, 3.0, Some(3.0), true, None);
+            request(&tel, route, "degraded", 1.0, 11.0);
+            live.observe_request(route, 11.0, Some(10.0), true, None);
+            for (name, t) in [
+                (names::SERVER_SHED, 4.0),
+                (names::SERVER_FAILED, 5.0),
+                (names::SERVER_EXPIRED, 6.0),
+            ] {
+                refusal(&tel, name, route, t);
+                live.observe_request(route, t, None, false, None);
+            }
+        }
+        let rows = replay_trace(tight_config(1), &tel.events(), 15.0);
+        let end = rows.last().unwrap().at_secs;
+        let finals: Vec<&ReplayWindow> = rows.iter().filter(|r| r.at_secs == end).collect();
+        assert_eq!(finals.len(), 2);
+        for row in finals {
+            assert_eq!(row.burn, live.window(&row.route, end, 15.0));
+            assert_eq!((row.burn.total, row.burn.bad, row.burn.slow), (5, 3, 1));
+        }
+    }
+
+    #[test]
+    fn replay_windows_count_offered_and_burn() {
+        let tel = Telemetry::enabled();
+        request(&tel, "TA", "completed", 0.0, 10.0);
+        request(&tel, "TA", "completed", 5.0, 15.0);
+        refusal(&tel, names::SERVER_SHED, "TA", 12.0);
+        let config = MonitorConfig {
+            bucket_secs: 20.0,
+            latency_objective_secs: 5.0,
+            ..tight_config(1)
+        };
+        let rows = replay_trace(config, &tel.events(), 20.0);
+        assert_eq!(rows.len(), 1);
+        let w = &rows[0].burn;
+        assert_eq!((w.total, w.bad, w.slow), (3, 1, 2));
+        assert!((w.availability_burn - (1.0 / 3.0) / 0.01).abs() < 1e-9);
+        assert!((w.latency_burn - (2.0 / 3.0) / 0.05).abs() < 1e-9);
+        assert!(w.violated());
+    }
+
+    #[test]
+    fn replay_on_healthy_trace_passes() {
+        let tel = Telemetry::enabled();
+        request(&tel, "TA", "completed", 0.0, 10.0);
+        let config = MonitorConfig {
+            bucket_secs: 60.0,
+            latency_objective_secs: 30.0,
+            ..tight_config(1)
+        };
+        let rows = replay_trace(config, &tel.events(), 120.0);
+        assert_eq!(rows.len(), 1);
+        assert!(rows.iter().all(|r| !r.burn.violated()));
+    }
+
+    #[test]
+    fn replay_windows_slide_by_step() {
+        let tel = Telemetry::enabled();
+        request(&tel, "TA", "completed", 0.0, 10.0);
+        request(&tel, "TA", "completed", 140.0, 150.0);
+        request(&tel, "TA", "completed", 140.0, 170.0);
+        let config = MonitorConfig {
+            bucket_secs: 60.0,
+            ..tight_config(1)
+        };
+        let rows = replay_trace(config, &tel.events(), 120.0);
+        // Boundaries 60, 120, 180 cover [-60, 60), [0, 120), [60, 180).
+        let seen: Vec<(f64, u64)> = rows.iter().map(|r| (r.at_secs, r.burn.total)).collect();
+        assert_eq!(seen, [(60.0, 1), (120.0, 1), (180.0, 2)]);
     }
 
     #[test]
