@@ -567,8 +567,7 @@ fn cmd_serve_sim(args: &ParsedArgs) -> Result<(), String> {
         ..p
     };
     // Live tracing: an enabled handle makes every request a causal span
-    // tree; the run itself records the metrics, so no post-hoc
-    // `record_into` (that would double-count).
+    // tree, and the run records the metrics as each request closes.
     let telemetry = if args.raw("telemetry").is_some() {
         Telemetry::enabled()
     } else {

@@ -194,24 +194,10 @@ impl ServingWorld {
     }
 
     /// `copies` independent backend clones for `tool`, boxed for a
-    /// gateway worker pool (plus one more for the stale-read path).
-    pub fn backends(
-        &self,
-        tool: fakeaudit_detectors::ToolId,
-        copies: usize,
-    ) -> Vec<Box<dyn fakeaudit_server::AuditBackend + Send>> {
-        self.armed_backends(
-            tool,
-            copies,
-            &fakeaudit_telemetry::Telemetry::disabled(),
-            None,
-        )
-    }
-
-    /// [`ServingWorld::backends`] with each clone recording service-level
-    /// metrics (cache hits, breaker transitions) into `telemetry` and,
-    /// when `breaker` is given, guarding its fresh-audit path with a
-    /// per-clone circuit breaker.
+    /// gateway worker pool (callers ask one more for the stale-read
+    /// path), each recording service-level metrics (cache hits, breaker
+    /// transitions) into `telemetry` and, when `breaker` is given,
+    /// guarding its fresh-audit path with a per-clone circuit breaker.
     pub fn armed_backends(
         &self,
         tool: fakeaudit_detectors::ToolId,

@@ -10,9 +10,12 @@
 //! * service goes through [`AuditBackend::serve`], so the
 //!   analytics `OnlineService` — cache, quota, Table II response times,
 //!   circuit breaker — is byte-for-byte the simulator's backend;
-//! * bookkeeping produces [`RequestRecord`]s and feeds
-//!   [`observe_request`], so `/metrics`, end-of-run reports and the E8/E9
-//!   analysis tooling read identically off either world.
+//! * every request, whatever its outcome, ends through the simulator's
+//!   own [`RequestSink::close`]: the same `server.*` trace, the same
+//!   `server.requests` count and latency histograms, the same per-tool
+//!   [`ToolSummary`] tallies and the same history row, so `/metrics`,
+//!   end-of-run reports and the E8/E9 analysis tooling read identically
+//!   off either world.
 //!
 //! What differs from the simulator is only the execution substrate:
 //! real OS threads pull jobs from the queues (one pool per tool, each
@@ -27,12 +30,10 @@
 use fakeaudit_analytics::{BreakerState, ServiceError, ServiceResponse};
 use fakeaudit_detectors::ToolId;
 use fakeaudit_server::{
-    audit_record, flush_writer, observe_request, persist_record, writer_health, Admission,
-    AdmissionQueue, AuditBackend, OverloadPolicy, RequestOutcome, RequestRecord, ServerConfig,
-    ServerReport,
+    flush_writer, writer_health, Admission, AdmissionQueue, Answer, AuditBackend, OverloadPolicy,
+    Request, RequestOutcome, RequestRecord, RequestSink, ServerConfig, ServerReport, ToolSummary,
 };
 use fakeaudit_store::{SharedWriter, StoreHealth};
-use fakeaudit_telemetry::analyze::names;
 use fakeaudit_telemetry::sync::{lock, wait};
 use fakeaudit_telemetry::{Clock, Telemetry, TraceContext};
 use fakeaudit_twittersim::{AccountId, Platform};
@@ -134,9 +135,7 @@ pub enum JobEvent {
 
 /// One queued unit of work.
 struct Job {
-    id: u64,
-    target: AccountId,
-    arrived: f64,
+    req: Request,
     events: mpsc::Sender<JobEvent>,
     req_ctx: TraceContext,
 }
@@ -175,44 +174,15 @@ struct Lane {
 struct Shared {
     lanes: Vec<Arc<Lane>>,
     platform: Arc<Platform>,
-    telemetry: Telemetry,
-    root: TraceContext,
+    /// Telemetry, trace root, history writer and platform-epoch offset —
+    /// the simulator's own sink. Wall seconds since gateway boot play the
+    /// simulator's server time.
+    sink: RequestSink,
     clock: Arc<dyn Clock>,
     config: ServerConfig,
-    /// Platform-epoch seconds: backends stamp their sub-spans on the
-    /// platform clock, the gateway on the wall clock; contexts handed to
-    /// backends are rebased across this offset exactly like the
-    /// simulator does.
-    epoch_secs: f64,
     next_id: AtomicU64,
-    records: Mutex<Vec<RequestRecord>>,
-    /// Columnar history writer; every answered request appends one row.
-    persist: Option<SharedWriter>,
-}
-
-impl Shared {
-    /// Appends one answered request to the history store, if persisting.
-    /// Timestamps land on the epoch clock (platform epoch + wall seconds
-    /// since gateway boot), mirroring the simulator's convention.
-    fn persist_completion(
-        &self,
-        id: u64,
-        target: AccountId,
-        finished: f64,
-        outcome_label: &str,
-        response: &ServiceResponse,
-    ) {
-        if let Some(writer) = &self.persist {
-            let record = audit_record(
-                target,
-                self.epoch_secs + finished,
-                outcome_label,
-                id,
-                response,
-            );
-            persist_record(writer, &self.telemetry, record);
-        }
-    }
+    /// Every closed request, and one running tally per lane (lane order).
+    records: Mutex<(Vec<RequestRecord>, Vec<ToolSummary>)>,
 }
 
 /// Admission control + per-tool worker pools over real threads.
@@ -264,8 +234,10 @@ impl Dispatcher {
         if let Some(pool) = pools.first() {
             config.workers_per_tool = pool.workers.len().max(1);
         }
-        let epoch_secs = platform.now().as_secs() as f64;
-        let root = telemetry.root_context();
+        let sink = RequestSink {
+            persist,
+            ..RequestSink::new(telemetry, platform.now().as_secs() as f64)
+        };
         let lanes: Vec<Arc<Lane>> = pools
             .iter()
             .map(|pool| {
@@ -282,17 +254,21 @@ impl Dispatcher {
                 })
             })
             .collect();
+        let per_tool = pools
+            .iter()
+            .map(|pool| ToolSummary {
+                tool: Some(pool.tool),
+                ..ToolSummary::default()
+            })
+            .collect();
         let shared = Arc::new(Shared {
             lanes: lanes.clone(),
             platform,
-            telemetry,
-            root,
+            sink,
             clock,
             config,
-            epoch_secs,
             next_id: AtomicU64::new(0),
-            records: Mutex::new(Vec::new()),
-            persist,
+            records: Mutex::new((Vec::new(), per_tool)),
         });
         let mut workers = Vec::new();
         for (lane, pool) in lanes.iter().zip(pools) {
@@ -353,24 +329,30 @@ impl Dispatcher {
     pub fn submit(&self, tool: ToolId, target: AccountId) -> mpsc::Receiver<JobEvent> {
         let shared = &self.shared;
         let (tx, rx) = mpsc::channel();
-        let arrived = shared.clock.now_secs();
-        let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let Some(lane) = shared.lanes.iter().find(|l| l.tool == tool) else {
+        let req = Request {
+            id: shared.next_id.fetch_add(1, Ordering::Relaxed),
+            at: shared.clock.now_secs(),
+            tool,
+            target,
+        };
+        let shed = |tx: mpsc::Sender<JobEvent>| {
+            let record = RequestRecord::of(&req, None, None, RequestOutcome::Shed);
+            shared.close(record, None, 0.0);
             let _ = tx.send(JobEvent::Rejected(Rejection::Shed));
+        };
+        let Some(lane) = shared.lanes.iter().find(|l| l.tool == tool) else {
+            shed(tx);
             return rx;
         };
         let job = Job {
-            id,
-            target,
-            arrived,
+            req,
             events: tx.clone(),
-            req_ctx: shared.root.child(),
+            req_ctx: shared.sink.root.child(),
         };
         let mut st = lock(&lane.state);
         if st.shutting_down {
             drop(st);
-            shared.refuse(id, tool, target, arrived, RequestOutcome::Shed);
-            let _ = tx.send(JobEvent::Rejected(Rejection::Shed));
+            shed(tx);
             return rx;
         }
         match st.queue.offer(job) {
@@ -378,7 +360,7 @@ impl Dispatcher {
                 let depth = st.queue.len();
                 drop(st);
                 lane.ready.notify_one();
-                shared.telemetry.gauge_set(
+                shared.sink.telemetry.gauge_set(
                     "server.queue_depth",
                     &[("tool", tool.abbrev())],
                     depth as f64,
@@ -392,22 +374,27 @@ impl Dispatcher {
                     None
                 };
                 drop(st);
-                match stale {
-                    Some(response) => {
-                        let finished = shared.clock.now_secs();
-                        shared.record_degraded(id, tool, target, arrived, finished, &response);
-                        let _ = tx.send(JobEvent::Done(Box::new(Answered {
-                            response,
-                            source: AnswerSource::Stale,
-                            queue_wait_secs: 0.0,
-                            service_secs: finished - arrived,
-                        })));
-                    }
-                    None => {
-                        shared.refuse(id, tool, target, arrived, RequestOutcome::Shed);
-                        let _ = tx.send(JobEvent::Rejected(Rejection::Shed));
-                    }
-                }
+                let Some(response) = stale else {
+                    shed(tx);
+                    return rx;
+                };
+                let finished = shared.clock.now_secs();
+                let req_ctx = shared.sink.root.child();
+                let svc_ctx = req_ctx.child();
+                let answer = Answer {
+                    req_ctx: &req_ctx,
+                    svc_ctx: &svc_ctx,
+                    response: &response,
+                };
+                let degraded = RequestOutcome::Degraded;
+                let record = RequestRecord::of(&req, Some(req.at), Some(finished), degraded);
+                shared.close(record, Some(answer), 0.0);
+                let _ = tx.send(JobEvent::Done(Box::new(Answered {
+                    response,
+                    source: AnswerSource::Stale,
+                    queue_wait_secs: 0.0,
+                    service_secs: finished - req.at,
+                })));
             }
         }
         rx
@@ -427,127 +414,40 @@ impl Dispatcher {
         }
         // Workers are joined: nothing appends concurrently, so this
         // flush captures every completed audit.
-        if let Some(writer) = &self.shared.persist {
-            let _ = flush_writer(writer, &self.shared.telemetry);
+        if let Some(writer) = &self.shared.sink.persist {
+            let _ = flush_writer(writer, &self.shared.sink.telemetry);
         }
     }
 
     /// The history writer's health (segment count, buffered rows, last
     /// flush), or `None` when the gateway runs without `--persist`.
     pub fn store_health(&self) -> Option<StoreHealth> {
-        self.shared.persist.as_ref().map(writer_health)
+        self.shared.sink.persist.as_ref().map(writer_health)
     }
 
-    /// A point-in-time report over every request seen so far, aggregated
-    /// by the **same** `ServerReport` code the simulator uses; queue
-    /// high-water marks are patched in from the live queues.
+    /// A point-in-time report over every request seen so far: the
+    /// records and per-lane tallies the close path kept, with queue
+    /// high-water marks filled in from the live queues.
     pub fn report(&self) -> ServerReport {
-        let records = lock(&self.shared.records).clone();
-        let makespan = self.shared.clock.now_secs();
-        let mut report = ServerReport::from_records(records, self.shared.config, makespan);
-        for summary in &mut report.per_tool {
-            if let Some(lane) = self
-                .shared
-                .lanes
-                .iter()
-                .find(|l| Some(l.tool) == summary.tool)
-            {
-                let st = lock(&lane.state);
-                summary.max_queue_depth = st.queue.max_depth();
-                summary.max_blocked = st.queue.max_overflow();
-            }
+        let (records, mut per_tool) = lock(&self.shared.records).clone();
+        for (summary, lane) in per_tool.iter_mut().zip(&self.shared.lanes) {
+            let st = lock(&lane.state);
+            summary.max_queue_depth = st.queue.max_depth();
+            summary.max_blocked = st.queue.max_overflow();
         }
-        report
+        let makespan = self.shared.clock.now_secs();
+        ServerReport::new(records, per_tool, self.shared.config, makespan)
     }
 }
 
 impl Shared {
-    fn push_record(&self, record: RequestRecord) {
-        let labels = [
-            ("tool", record.tool.abbrev()),
-            ("outcome", record.outcome.label()),
-        ];
-        self.telemetry.counter_add("server.requests", &labels, 1);
-        if record.answered() {
-            observe_request(&self.telemetry, record.tool.abbrev(), &record);
-        }
-        lock(&self.records).push(record);
-    }
-
-    /// Records a refusal (shed at admission, expired in queue) with the
-    /// same trace points the simulator emits.
-    fn refuse(
-        &self,
-        id: u64,
-        tool: ToolId,
-        target: AccountId,
-        arrived: f64,
-        outcome: RequestOutcome,
-    ) {
-        let now = self.clock.now_secs();
-        let (name, finished) = match outcome {
-            RequestOutcome::Expired => (names::SERVER_EXPIRED, Some(now)),
-            RequestOutcome::Failed => (names::SERVER_FAILED, Some(now)),
-            _ => (names::SERVER_SHED, None),
-        };
-        if self.root.is_enabled() {
-            let target_s = target.to_string();
-            self.root.point(
-                name,
-                finished.unwrap_or(arrived),
-                &[("tool", tool.abbrev()), ("target", &target_s)],
-            );
-        }
-        self.push_record(RequestRecord {
-            id,
-            tool,
-            target,
-            arrived,
-            started: None,
-            finished,
-            outcome,
-        });
-    }
-
-    fn record_degraded(
-        &self,
-        id: u64,
-        tool: ToolId,
-        target: AccountId,
-        arrived: f64,
-        finished: f64,
-        response: &ServiceResponse,
-    ) {
-        if self.root.is_enabled() {
-            let target_s = target.to_string();
-            let req_ctx = self.root.child();
-            req_ctx.span(
-                names::SERVER_SERVICE,
-                arrived,
-                finished,
-                &[("tool", tool.abbrev()), ("source", "stale")],
-            );
-            req_ctx.record(
-                names::SERVER_REQUEST,
-                arrived,
-                finished,
-                &[
-                    ("tool", tool.abbrev()),
-                    ("target", &target_s),
-                    ("outcome", "degraded"),
-                ],
-            );
-        }
-        self.push_record(RequestRecord {
-            id,
-            tool,
-            target,
-            arrived,
-            started: Some(arrived),
-            finished: Some(finished),
-            outcome: RequestOutcome::Degraded,
-        });
-        self.persist_completion(id, target, finished, "degraded", response);
+    /// Ends one request through [`RequestSink::close`], tallied on its
+    /// lane unless its tool has none.
+    fn close(&self, record: RequestRecord, answer: Option<Answer<'_>>, busy_secs: f64) {
+        let (records, per_tool) = &mut *lock(&self.records);
+        let summary = per_tool.iter_mut().find(|t| t.tool == Some(record.tool));
+        self.sink.close(&record, answer, busy_secs, summary);
+        records.push(record);
     }
 }
 
@@ -567,7 +467,7 @@ fn worker_loop(shared: &Shared, lane: &Lane, mut backend: BoxedBackend) {
                 st = wait(&lane.ready, st);
             }
         };
-        serve_one(shared, lane, &mut backend, job);
+        serve_one(shared, &mut backend, job);
         // Publish this backend's breaker state so admission-side readers
         // (`/healthz`, `/debug/vars`) see breaker health without touching
         // worker-owned backends.
@@ -576,21 +476,16 @@ fn worker_loop(shared: &Shared, lane: &Lane, mut backend: BoxedBackend) {
     }
 }
 
-fn serve_one(shared: &Shared, lane: &Lane, backend: &mut BoxedBackend, job: Job) {
-    let tool = lane.tool;
+fn serve_one(shared: &Shared, backend: &mut BoxedBackend, job: Job) {
+    let req = job.req;
     let now = shared.clock.now_secs();
     if shared
         .config
         .deadline_secs
-        .is_some_and(|d| now - job.arrived > d)
+        .is_some_and(|d| now - req.at > d)
     {
-        shared.refuse(
-            job.id,
-            tool,
-            job.target,
-            job.arrived,
-            RequestOutcome::Expired,
-        );
+        let record = RequestRecord::of(&req, None, Some(now), RequestOutcome::Expired);
+        shared.close(record, None, 0.0);
         let _ = job.events.send(JobEvent::Rejected(Rejection::Expired));
         return;
     }
@@ -600,73 +495,34 @@ fn serve_one(shared: &Shared, lane: &Lane, backend: &mut BoxedBackend, job: Job)
     // backend nests its own subtree under, rebased from the wall clock
     // onto the platform's epoch clock.
     let svc_ctx = job.req_ctx.child();
-    let backend_ctx = svc_ctx.clone().rebased(now - shared.epoch_secs);
-    match backend.serve(&shared.platform, job.target, &backend_ctx, now) {
+    let backend_ctx = svc_ctx.clone().rebased(now - shared.sink.epoch_secs);
+    let served = backend.serve(&shared.platform, req.target, &backend_ctx, now);
+    let finished = shared.clock.now_secs();
+    match served {
         Ok(response) => {
-            let finished = shared.clock.now_secs();
-            if job.req_ctx.is_enabled() {
-                let tool_s = tool.abbrev();
-                let target_s = job.target.to_string();
-                job.req_ctx.span(
-                    names::SERVER_QUEUE_WAIT,
-                    job.arrived,
-                    now,
-                    &[("tool", tool_s)],
-                );
-                let source = if response.served_from_cache {
-                    "cache"
-                } else {
-                    "fresh"
-                };
-                svc_ctx.record(
-                    names::SERVER_SERVICE,
-                    now,
-                    finished,
-                    &[("tool", tool_s), ("source", source)],
-                );
-                job.req_ctx.record(
-                    names::SERVER_REQUEST,
-                    job.arrived,
-                    finished,
-                    &[
-                        ("tool", tool_s),
-                        ("target", &target_s),
-                        ("outcome", "completed"),
-                    ],
-                );
-            }
-            let source = if response.served_from_cache {
-                AnswerSource::Cache
-            } else {
-                AnswerSource::Fresh
+            let cached = response.served_from_cache;
+            let answer = Answer {
+                req_ctx: &job.req_ctx,
+                svc_ctx: &svc_ctx,
+                response: &response,
             };
-            shared.push_record(RequestRecord {
-                id: job.id,
-                tool,
-                target: job.target,
-                arrived: job.arrived,
-                started: Some(now),
-                finished: Some(finished),
-                outcome: RequestOutcome::Completed {
-                    cached: response.served_from_cache,
-                },
-            });
-            shared.persist_completion(job.id, job.target, finished, "completed", &response);
+            let completed = RequestOutcome::Completed { cached };
+            let record = RequestRecord::of(&req, Some(now), Some(finished), completed);
+            shared.close(record, Some(answer), finished - now);
             let _ = job.events.send(JobEvent::Done(Box::new(Answered {
                 response,
-                source,
-                queue_wait_secs: now - job.arrived,
+                source: if cached {
+                    AnswerSource::Cache
+                } else {
+                    AnswerSource::Fresh
+                },
+                queue_wait_secs: now - req.at,
                 service_secs: finished - now,
             })));
         }
         Err(err) => {
-            shared.refuse(
-                job.id,
-                tool,
-                job.target,
-                job.arrived,
-                RequestOutcome::Failed,
-            );
+            let record = RequestRecord::of(&req, Some(now), Some(finished), RequestOutcome::Failed);
+            shared.close(record, None, finished - now);
             let rejection = match err {
                 ServiceError::Unavailable { retry_in_secs, .. } => {
                     Rejection::BreakerOpen { retry_in_secs }
@@ -708,8 +564,26 @@ impl AuditBackend for NullBackend {
 mod tests {
     use super::*;
     use fakeaudit_detectors::{AuditOutcome, VerdictCounts};
-    use fakeaudit_telemetry::WallClock;
+    use fakeaudit_telemetry::analyze::names;
+    use fakeaudit_telemetry::{ManualClock, WallClock};
     use fakeaudit_twittersim::SimTime;
+
+    fn response(target: AccountId) -> ServiceResponse {
+        ServiceResponse {
+            outcome: AuditOutcome {
+                tool_name: "TA".into(),
+                target,
+                assessed: vec![],
+                counts: VerdictCounts::default(),
+                audited_at: SimTime::EPOCH,
+                api_elapsed_secs: 0.0,
+                api_calls: 0,
+            },
+            response_secs: 0.0,
+            served_from_cache: false,
+            assessed_at: SimTime::EPOCH,
+        }
+    }
 
     /// Answers every target at once.
     struct InstantBackend;
@@ -726,25 +600,138 @@ mod tests {
             _ctx: &TraceContext,
             _now_secs: f64,
         ) -> Result<ServiceResponse, ServiceError> {
-            Ok(ServiceResponse {
-                outcome: AuditOutcome {
-                    tool_name: "TA".into(),
-                    target,
-                    assessed: vec![],
-                    counts: VerdictCounts::default(),
-                    audited_at: SimTime::EPOCH,
-                    api_elapsed_secs: 0.0,
-                    api_calls: 0,
-                },
-                response_secs: 0.0,
-                served_from_cache: false,
-                assessed_at: SimTime::EPOCH,
-            })
+            Ok(response(target))
         }
 
         fn serve_stale(&self, _target: AccountId) -> Option<ServiceResponse> {
             None
         }
+    }
+
+    /// Waits for the test's go-ahead, then serves in 2 s of manual clock;
+    /// stale reads take 0.5 s of the same clock and know every target.
+    struct ClockedBackend {
+        clock: Arc<ManualClock>,
+        gate: Option<mpsc::Receiver<()>>,
+    }
+
+    impl AuditBackend for ClockedBackend {
+        fn tool(&self) -> ToolId {
+            ToolId::Twitteraudit
+        }
+
+        fn serve(
+            &mut self,
+            _platform: &Platform,
+            target: AccountId,
+            _ctx: &TraceContext,
+            _now_secs: f64,
+        ) -> Result<ServiceResponse, ServiceError> {
+            if let Some(gate) = &self.gate {
+                gate.recv().expect("test releases the worker");
+            }
+            self.clock.advance(2.0);
+            Ok(response(target))
+        }
+
+        fn serve_stale(&self, target: AccountId) -> Option<ServiceResponse> {
+            self.clock.advance(0.5);
+            Some(response(target))
+        }
+    }
+
+    #[test]
+    fn degraded_answers_are_not_worker_time() {
+        let clock = Arc::new(ManualClock::new(0.0));
+        let (go, gate) = mpsc::channel();
+        let backend = |gate| {
+            Box::new(ClockedBackend {
+                clock: Arc::clone(&clock),
+                gate,
+            })
+        };
+        let dispatcher = Dispatcher::start(
+            Arc::new(Platform::new()),
+            vec![ToolPool {
+                tool: ToolId::Twitteraudit,
+                workers: vec![backend(Some(gate))],
+                stale: backend(None),
+            }],
+            ServerConfig {
+                queue_capacity: 0,
+                policy: OverloadPolicy::DegradeStale,
+                ..ServerConfig::default()
+            },
+            clock.clone(),
+            Telemetry::disabled(),
+        );
+        // The worker holds the first job until released, the second fills
+        // the one queue slot, and the rest overflow onto the stale path.
+        let first = dispatcher.submit(ToolId::Twitteraudit, AccountId(0));
+        assert!(matches!(first.recv(), Ok(JobEvent::Queued { .. })));
+        assert!(matches!(first.recv(), Ok(JobEvent::Started)));
+        let second = dispatcher.submit(ToolId::Twitteraudit, AccountId(1));
+        for target in 2..8 {
+            let events = dispatcher.submit(ToolId::Twitteraudit, AccountId(target));
+            assert!(
+                matches!(events.recv(), Ok(JobEvent::Done(a)) if a.source == AnswerSource::Stale)
+            );
+        }
+        go.send(()).unwrap();
+        go.send(()).unwrap();
+        for events in [first, second] {
+            assert!(events.iter().any(|e| matches!(e, JobEvent::Done(_))));
+        }
+        dispatcher.shutdown();
+        let report = dispatcher.report();
+        assert_eq!((report.completed(), report.degraded()), (2, 6));
+        let served: f64 = report
+            .records
+            .iter()
+            .filter(|r| matches!(r.outcome, RequestOutcome::Completed { .. }))
+            .map(RequestRecord::service_secs)
+            .sum();
+        assert!((report.per_tool[0].busy_secs - served).abs() < 1e-9);
+        assert!(report.utilisation() <= 1.0);
+    }
+
+    #[test]
+    fn a_tool_without_a_lane_is_shed_through_the_close_path() {
+        let telemetry = Telemetry::enabled();
+        let dispatcher = Dispatcher::start(
+            Arc::new(Platform::new()),
+            vec![ToolPool {
+                tool: ToolId::Twitteraudit,
+                workers: vec![Box::new(InstantBackend)],
+                stale: Box::new(InstantBackend),
+            }],
+            ServerConfig::default(),
+            Arc::new(ManualClock::new(3.0)),
+            telemetry.clone(),
+        );
+        let events = dispatcher.submit(ToolId::Socialbakers, AccountId(5));
+        assert!(matches!(
+            events.recv(),
+            Ok(JobEvent::Rejected(Rejection::Shed))
+        ));
+        dispatcher.shutdown();
+        let report = dispatcher.report();
+        assert_eq!(report.records.len(), 1);
+        let record = report.records[0];
+        assert_eq!(
+            (record.tool, record.outcome),
+            (ToolId::Socialbakers, RequestOutcome::Shed)
+        );
+        assert_eq!(report.offered(), 0, "a tool nobody serves is not offered");
+        let sheds: Vec<_> = telemetry
+            .events()
+            .into_iter()
+            .filter(|e| e.name == names::SERVER_SHED)
+            .collect();
+        assert_eq!(sheds.len(), 1);
+        assert_eq!(sheds[0].t0, 3.0);
+        assert_eq!(sheds[0].attr("tool"), Some("SB"));
+        assert_eq!(sheds[0].attr("target"), Some("u5"));
     }
 
     fn audit(dispatcher: &Dispatcher, target: u64) -> bool {

@@ -19,8 +19,10 @@
 //!   flash-crowd arrivals by Lewis–Shedler thinning, Zipf-distributed
 //!   target popularity, uniform tool choice — all from one seeded stream;
 //! * [`sim`] — the [`ServerSim`] event loop over per-tool worker pools,
-//!   producing a [`ServerReport`] of per-request records, percentiles and
-//!   `server.*` telemetry.
+//!   producing a [`ServerReport`] of per-request records and percentiles;
+//! * [`close`] — [`RequestSink::close`], the one path every finished
+//!   request takes in the simulator and in the gateway: `server.*` trace
+//!   and metrics, per-tool tallies, history row.
 //!
 //! The simulation itself is single-threaded — determinism comes free.
 //! Parallelism belongs one level up, in
@@ -31,17 +33,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod close;
 pub mod event;
 pub mod persist;
 pub mod queue;
 pub mod sim;
 pub mod workload;
 
+pub use close::{Answer, RequestSink};
 pub use event::EventHeap;
-pub use persist::{audit_record, flush_writer, persist_record, writer_health};
+pub use persist::{flush_writer, writer_health};
 pub use queue::{Admission, AdmissionQueue, OverloadPolicy};
 pub use sim::{
-    observe_request, AuditBackend, RequestOutcome, RequestRecord, ServerConfig, ServerReport,
-    ServerSim, ToolSummary,
+    AuditBackend, RequestOutcome, RequestRecord, ServerConfig, ServerReport, ServerSim, ToolSummary,
 };
 pub use workload::{generate, ArrivalProcess, LoadSpec, Request};

@@ -1,11 +1,11 @@
 //! Bridge from completed audits to the columnar history store.
 //!
 //! Both serving worlds — the discrete-event [`ServerSim`](crate::ServerSim)
-//! and the wall-clock gateway dispatcher — end a successful request
-//! holding a [`ServiceResponse`] and a completion time. This module
-//! turns that pair into one [`AuditRecord`] append and emits the
-//! `store.*` metrics at the call site, keeping `fakeaudit-store` itself
-//! telemetry-free.
+//! and the wall-clock gateway dispatcher — end an answered request in
+//! [`RequestSink::close`](crate::RequestSink::close), holding a
+//! [`ServiceResponse`] and a completion time. This module turns that
+//! pair into one [`AuditRecord`] append and emits the `store.*` metrics
+//! at the call site, keeping `fakeaudit-store` itself telemetry-free.
 //!
 //! Append failures are counted (`store.append_errors`), not propagated:
 //! history is an observability surface, and losing a row must never fail

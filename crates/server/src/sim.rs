@@ -18,14 +18,13 @@
 //! across OS threads in `core::experiments::service_load`, each with its
 //! own cloned backends.
 
+use crate::close::{Answer, RequestSink};
 use crate::event::EventHeap;
-use crate::persist::{audit_record, persist_record};
 use crate::queue::{Admission, AdmissionQueue, OverloadPolicy};
 use crate::workload::Request;
 use fakeaudit_analytics::{OnlineService, ServiceError, ServiceResponse};
 use fakeaudit_detectors::{FollowerAuditor, ToolId};
 use fakeaudit_store::SharedWriter;
-use fakeaudit_telemetry::analyze::names;
 use fakeaudit_telemetry::metrics::rounded_index;
 use fakeaudit_telemetry::{SloMonitor, SpanId, Telemetry, TraceContext};
 use fakeaudit_twittersim::{AccountId, Platform};
@@ -172,15 +171,35 @@ pub struct RequestRecord {
     pub target: AccountId,
     /// Arrival time (seconds).
     pub arrived: f64,
-    /// When a worker (or the degrade path) picked it up; `None` if shed.
+    /// When a worker (or the degrade path) picked it up; `None` if shed
+    /// or expired.
     pub started: Option<f64>,
-    /// When the response left; `None` if shed.
+    /// When the response left, or the request failed or expired; `None`
+    /// if shed.
     pub finished: Option<f64>,
     /// How it ended.
     pub outcome: RequestOutcome,
 }
 
 impl RequestRecord {
+    /// The record of `req` ending as `outcome`.
+    pub fn of(
+        req: &Request,
+        started: Option<f64>,
+        finished: Option<f64>,
+        outcome: RequestOutcome,
+    ) -> Self {
+        Self {
+            id: req.id,
+            tool: req.tool,
+            target: req.target,
+            arrived: req.at,
+            started,
+            finished,
+            outcome,
+        }
+    }
+
     /// Seconds spent waiting in the admission queue (0 for shed requests).
     pub fn queue_wait(&self) -> f64 {
         self.started.map_or(0.0, |s| s - self.arrived)
@@ -235,6 +254,29 @@ pub struct ToolSummary {
     pub busy_secs: f64,
 }
 
+impl ToolSummary {
+    /// Counts one closed request: offered, its outcome, a cache hit, and
+    /// `busy_secs` of worker time if a worker served it (completed or
+    /// failed) — the degrade path occupies no worker.
+    pub fn tally(&mut self, outcome: RequestOutcome, busy_secs: f64) {
+        self.offered += 1;
+        match outcome {
+            RequestOutcome::Completed { cached } => {
+                self.completed += 1;
+                self.cache_hits += u64::from(cached);
+                self.busy_secs += busy_secs;
+            }
+            RequestOutcome::Failed => {
+                self.failed += 1;
+                self.busy_secs += busy_secs;
+            }
+            RequestOutcome::Degraded => self.degraded += 1,
+            RequestOutcome::Shed => self.shed += 1,
+            RequestOutcome::Expired => self.expired += 1,
+        }
+    }
+}
+
 /// Everything the simulation produced: per-request records plus per-tool
 /// aggregates.
 #[derive(Debug, Clone)]
@@ -254,42 +296,13 @@ pub struct ServerReport {
 }
 
 impl ServerReport {
-    /// Builds a report from raw per-request records — the constructor the
-    /// wall-clock gateway uses, so live serving and the simulator share
-    /// one aggregation/percentile implementation instead of forking it.
-    ///
-    /// Per-tool summaries are derived from the records (first-seen tool
-    /// order); queue high-water marks are not derivable from records
-    /// alone and start at zero — callers that track them (the gateway's
-    /// dispatcher does) patch `per_tool` afterwards.
-    pub fn from_records(records: Vec<RequestRecord>, config: ServerConfig, makespan: f64) -> Self {
-        let mut per_tool: Vec<ToolSummary> = Vec::new();
-        for r in &records {
-            let summary = match per_tool.iter_mut().find(|t| t.tool == Some(r.tool)) {
-                Some(existing) => existing,
-                None => {
-                    per_tool.push(ToolSummary {
-                        tool: Some(r.tool),
-                        ..ToolSummary::default()
-                    });
-                    per_tool.last_mut().expect("just pushed")
-                }
-            };
-            summary.offered += 1;
-            match r.outcome {
-                RequestOutcome::Completed { cached } => {
-                    summary.completed += 1;
-                    if cached {
-                        summary.cache_hits += 1;
-                    }
-                }
-                RequestOutcome::Degraded => summary.degraded += 1,
-                RequestOutcome::Shed => summary.shed += 1,
-                RequestOutcome::Expired => summary.expired += 1,
-                RequestOutcome::Failed => summary.failed += 1,
-            }
-            summary.busy_secs += r.service_secs();
-        }
+    /// A report over closed `records` and their per-tool tallies.
+    pub fn new(
+        records: Vec<RequestRecord>,
+        per_tool: Vec<ToolSummary>,
+        config: ServerConfig,
+        makespan: f64,
+    ) -> Self {
         Self {
             records,
             per_tool,
@@ -375,19 +388,20 @@ impl ServerReport {
         })
     }
 
-    /// Sorted end-to-end latencies of every answered request.
+    /// Sorted end-to-end latencies of every request with a finish time:
+    /// answered, failed and expired ones (shed requests never finish).
     pub fn latencies(&self) -> Vec<f64> {
         self.sorted_latencies().to_vec()
     }
 
-    /// Exact percentile of answered-request latency (`q` in `[0, 1]`,
-    /// the [`rounded_index`] rule); 0.0 when nothing was answered.
+    /// Exact percentile of [`ServerReport::latencies`] (`q` in `[0, 1]`,
+    /// the [`rounded_index`] rule); 0.0 when nothing finished.
     pub fn latency_percentile(&self, q: f64) -> f64 {
         rounded_index(self.sorted_latencies(), q).unwrap_or(0.0)
     }
 
-    /// Exact percentile of queue wait over answered requests (the
-    /// [`rounded_index`] rule).
+    /// Exact percentile of queue wait over every started request:
+    /// completed, degraded and failed ones (the [`rounded_index`] rule).
     pub fn queue_wait_percentile(&self, q: f64) -> f64 {
         rounded_index(self.sorted_queue_waits(), q).unwrap_or(0.0)
     }
@@ -401,75 +415,9 @@ impl ServerReport {
         let span = self.makespan * (self.config.workers_per_tool * self.per_tool.len()) as f64;
         (busy / span).min(1.0)
     }
-
-    /// Mirrors a finished run into `telemetry` after the fact: a flat
-    /// `server.request` span per *answered* request, a `server.shed` /
-    /// `server.failed` point per refused or errored one (so every offered
-    /// request appears in the trace exactly once), the
-    /// `server.queue_wait_secs` / `server.service_secs` /
-    /// `server.latency_secs` histograms, and per-tool outcome counters.
-    ///
-    /// Spans recorded here carry no identity — for causal trees built
-    /// live along the request path, construct the simulator with
-    /// [`ServerSim::with_telemetry`] instead.
-    pub fn record_into(&self, telemetry: &Telemetry) {
-        if !telemetry.is_enabled() {
-            return;
-        }
-        for r in &self.records {
-            let tool = r.tool.abbrev();
-            let target = r.target.to_string();
-            let labels = [("tool", tool), ("outcome", r.outcome.label())];
-            match r.outcome {
-                RequestOutcome::Completed { .. } | RequestOutcome::Degraded => {
-                    if let (Some(start), Some(end)) = (r.started, r.finished) {
-                        telemetry.span(names::SERVER_REQUEST, start, end, &labels);
-                        observe_request(telemetry, tool, r);
-                    }
-                }
-                RequestOutcome::Shed => {
-                    telemetry.event(
-                        names::SERVER_SHED,
-                        r.arrived,
-                        &[("tool", tool), ("target", &target)],
-                    );
-                }
-                RequestOutcome::Expired => {
-                    telemetry.event(
-                        names::SERVER_EXPIRED,
-                        r.finished.unwrap_or(r.arrived),
-                        &[("tool", tool), ("target", &target)],
-                    );
-                }
-                RequestOutcome::Failed => {
-                    telemetry.event(
-                        names::SERVER_FAILED,
-                        r.finished.unwrap_or(r.arrived),
-                        &[("tool", tool), ("target", &target)],
-                    );
-                }
-            }
-            telemetry.counter_add("server.requests", &labels, 1);
-        }
-        record_tool_totals(telemetry, &self.per_tool);
-    }
 }
 
-/// Per-request latency histograms (`server.queue_wait_secs`,
-/// `server.service_secs`, `server.latency_secs`) shared by the live
-/// simulator path, the post-hoc [`ServerReport::record_into`] path, and
-/// the wall-clock gateway — one metric vocabulary for both worlds.
-pub fn observe_request(telemetry: &Telemetry, tool: &str, r: &RequestRecord) {
-    let tool_only = [("tool", tool)];
-    telemetry.observe("server.queue_wait_secs", &tool_only, r.queue_wait());
-    telemetry.observe("server.service_secs", &tool_only, r.service_secs());
-    if let Some(latency) = r.latency() {
-        telemetry.observe("server.latency_secs", &tool_only, latency);
-    }
-}
-
-/// Per-tool end-of-run counters and gauges, shared by the live and
-/// post-hoc paths.
+/// Per-tool end-of-run counters and gauges.
 fn record_tool_totals(telemetry: &Telemetry, per_tool: &[ToolSummary]) {
     for t in per_tool {
         let Some(tool) = t.tool else { continue };
@@ -514,9 +462,7 @@ pub struct ServerSim<'p> {
     servers: Vec<ToolServer>,
     records: Vec<RequestRecord>,
     makespan: f64,
-    telemetry: Telemetry,
-    root: TraceContext,
-    persist: Option<SharedWriter>,
+    sink: RequestSink,
     monitor: Option<SloMonitor>,
 }
 
@@ -531,24 +477,19 @@ impl<'p> ServerSim<'p> {
     /// and `server.service` children, the backend's own subtree (API
     /// crawl, cache lookup, detector pass) hangs under `server.service`,
     /// and refused or errored requests become `server.shed` /
-    /// `server.failed` points. Metrics match what
-    /// [`ServerReport::record_into`] would have produced; do not call
-    /// both, or everything doubles.
+    /// `server.failed` points — all written by [`RequestSink::close`].
     pub fn with_telemetry(
         platform: &'p Platform,
         config: ServerConfig,
         telemetry: Telemetry,
     ) -> Self {
-        let root = telemetry.root_context();
         Self {
             platform,
             config,
             servers: Vec::new(),
             records: Vec::new(),
             makespan: 0.0,
-            telemetry,
-            root,
-            persist: None,
+            sink: RequestSink::new(telemetry, platform.now().as_secs() as f64),
             monitor: None,
         }
     }
@@ -571,23 +512,8 @@ impl<'p> ServerSim<'p> {
     /// flushing the tail buffer is the caller's job — it owns the writer
     /// lifecycle and may share it across several runs.
     pub fn persist_into(&mut self, writer: SharedWriter) -> &mut Self {
-        self.persist = Some(writer);
+        self.sink.persist = Some(writer);
         self
-    }
-
-    /// Appends one answered request to the history store, if persisting.
-    fn persist_completion(
-        &self,
-        req: &Request,
-        finished: f64,
-        outcome_label: &str,
-        resp: &ServiceResponse,
-    ) {
-        if let Some(writer) = &self.persist {
-            let epoch = self.platform.now().as_secs() as f64;
-            let record = audit_record(req.target, epoch + finished, outcome_label, req.id, resp);
-            persist_record(writer, &self.telemetry, record);
-        }
     }
 
     /// Registers a backend; requests for its tool route to its pool.
@@ -634,7 +560,7 @@ impl<'p> ServerSim<'p> {
             }
             self.makespan = self.makespan.max(now);
             match event {
-                Event::Arrival(req) => self.on_arrival(now, req, &mut heap),
+                Event::Arrival(req) => self.on_arrival(req, &mut heap),
                 Event::WorkerDone { server } => {
                     self.servers[server].idle_workers += 1;
                     self.drain_queue(now, server, &mut heap);
@@ -657,163 +583,106 @@ impl<'p> ServerSim<'p> {
                 next_tick += step;
             }
         }
-        let report = ServerReport {
-            records: self.records,
-            per_tool: self
-                .servers
-                .into_iter()
-                .map(|s| ToolSummary {
-                    max_queue_depth: s.queue.max_depth(),
-                    max_blocked: s.queue.max_overflow(),
-                    ..s.summary
-                })
-                .collect(),
-            config: self.config,
-            makespan: self.makespan,
-            sorted_latencies: OnceLock::new(),
-            sorted_queue_waits: OnceLock::new(),
-        };
-        if self.telemetry.is_enabled() {
-            for r in &report.records {
-                let tool = r.tool.abbrev();
-                if r.answered() {
-                    observe_request(&self.telemetry, tool, r);
-                }
-                let labels = [("tool", tool), ("outcome", r.outcome.label())];
-                self.telemetry.counter_add("server.requests", &labels, 1);
-            }
-            record_tool_totals(&self.telemetry, &report.per_tool);
-        }
+        let per_tool = self
+            .servers
+            .into_iter()
+            .map(|s| ToolSummary {
+                max_queue_depth: s.queue.max_depth(),
+                max_blocked: s.queue.max_overflow(),
+                ..s.summary
+            })
+            .collect();
+        let report = ServerReport::new(self.records, per_tool, self.config, self.makespan);
+        record_tool_totals(&self.sink.telemetry, &report.per_tool);
         report
     }
 
-    fn on_arrival(&mut self, now: f64, req: Request, heap: &mut EventHeap<Event>) {
+    /// Ends `record` through [`RequestSink::close`] (tallied on `server`
+    /// unless its tool has none), feeds it to the attached monitor and
+    /// keeps it for the report. The monitor sees the route (the tool
+    /// abbreviation, as in the metric labels), the finish time, the
+    /// latency of a started request, whether the client got an answer,
+    /// and `root` — the request's trace-tree root, for the tail sampler.
+    fn close(
+        &mut self,
+        server: Option<usize>,
+        record: RequestRecord,
+        answer: Option<Answer<'_>>,
+        busy_secs: f64,
+        root: Option<SpanId>,
+    ) {
+        let summary = server.map(|i| &mut self.servers[i].summary);
+        self.sink.close(&record, answer, busy_secs, summary);
+        if let Some(monitor) = &self.monitor {
+            monitor.observe_request(
+                record.tool.abbrev(),
+                record.finished.unwrap_or(record.arrived),
+                record.started.and(record.latency()),
+                record.answered(),
+                root,
+            );
+        }
+        self.records.push(record);
+    }
+
+    fn on_arrival(&mut self, req: Request, heap: &mut EventHeap<Event>) {
         let Some(idx) = self.server_for(req.tool) else {
-            self.trace_refusal(names::SERVER_SHED, now, &req);
-            self.records.push(RequestRecord {
-                id: req.id,
-                tool: req.tool,
-                target: req.target,
-                arrived: now,
-                started: None,
-                finished: None,
-                outcome: RequestOutcome::Shed,
-            });
-            self.observe_monitor(req.tool, now, None, false, None);
+            let record = RequestRecord::of(&req, None, None, RequestOutcome::Shed);
+            self.close(None, record, None, 0.0, None);
             return;
         };
-        self.servers[idx].summary.offered += 1;
         if self.servers[idx].idle_workers > 0 {
             // An idle worker implies an empty queue — serve immediately.
-            self.start_service(now, idx, req, heap);
+            self.start_service(req.at, idx, req, heap);
             return;
         }
         match self.servers[idx].queue.offer(req) {
             Admission::Enqueued | Admission::Blocked => {}
-            Admission::Overloaded => self.overloaded(now, idx, req),
-        }
-    }
-
-    /// Feeds one finished request to the attached monitor, if any.
-    /// Routes are keyed by tool abbreviation, matching the metric
-    /// labels; `ok` is the client-visible verdict (shed, failed and
-    /// expired are not ok) and `root` the request's trace-tree root for
-    /// the tail sampler.
-    fn observe_monitor(
-        &self,
-        tool: ToolId,
-        end_secs: f64,
-        latency_secs: Option<f64>,
-        ok: bool,
-        root: Option<SpanId>,
-    ) {
-        if let Some(monitor) = &self.monitor {
-            monitor.observe_request(tool.abbrev(), end_secs, latency_secs, ok, root);
-        }
-    }
-
-    /// Records a `server.shed` / `server.failed` point at the trace root.
-    fn trace_refusal(&self, name: &str, t: f64, req: &Request) {
-        if self.root.is_enabled() {
-            let target = req.target.to_string();
-            self.root
-                .point(name, t, &[("tool", req.tool.abbrev()), ("target", &target)]);
+            Admission::Overloaded => self.overloaded(idx, req),
         }
     }
 
     /// Full queue, non-parking policy: degrade if possible, shed otherwise.
-    fn overloaded(&mut self, now: f64, idx: usize, req: Request) {
-        let server = &mut self.servers[idx];
-        if server.queue.policy() == OverloadPolicy::DegradeStale {
-            if let Some(resp) = server.backend.serve_stale(req.target) {
-                let finished = now + self.config.degraded_secs;
-                self.makespan = self.makespan.max(finished);
-                server.summary.degraded += 1;
-                let mut root_id = None;
-                if self.root.is_enabled() {
-                    let tool = req.tool.abbrev();
-                    let target = req.target.to_string();
-                    let req_ctx = self.root.child();
-                    root_id = req_ctx.span_id();
-                    req_ctx.span(
-                        names::SERVER_SERVICE,
-                        now,
-                        finished,
-                        &[("tool", tool), ("source", "stale")],
-                    );
-                    req_ctx.record(
-                        names::SERVER_REQUEST,
-                        req.at,
-                        finished,
-                        &[("tool", tool), ("target", &target), ("outcome", "degraded")],
-                    );
-                }
-                self.records.push(RequestRecord {
-                    id: req.id,
-                    tool: req.tool,
-                    target: req.target,
-                    arrived: req.at,
-                    started: Some(now),
-                    finished: Some(finished),
-                    outcome: RequestOutcome::Degraded,
-                });
-                self.persist_completion(&req, finished, "degraded", &resp);
-                self.observe_monitor(req.tool, finished, Some(finished - req.at), true, root_id);
-                return;
-            }
-        }
-        server.summary.shed += 1;
-        self.trace_refusal(names::SERVER_SHED, now, &req);
-        self.records.push(RequestRecord {
-            id: req.id,
-            tool: req.tool,
-            target: req.target,
-            arrived: req.at,
-            started: None,
-            finished: None,
-            outcome: RequestOutcome::Shed,
-        });
-        self.observe_monitor(req.tool, now, None, false, None);
+    fn overloaded(&mut self, idx: usize, req: Request) {
+        let server = &self.servers[idx];
+        let stale = match server.queue.policy() {
+            OverloadPolicy::DegradeStale => server.backend.serve_stale(req.target),
+            _ => None,
+        };
+        let Some(resp) = stale else {
+            let record = RequestRecord::of(&req, None, None, RequestOutcome::Shed);
+            self.close(Some(idx), record, None, 0.0, None);
+            return;
+        };
+        let finished = req.at + self.config.degraded_secs;
+        self.makespan = self.makespan.max(finished);
+        let req_ctx = self.sink.root.child();
+        let svc_ctx = req_ctx.child();
+        let answer = Answer {
+            req_ctx: &req_ctx,
+            svc_ctx: &svc_ctx,
+            response: &resp,
+        };
+        let record =
+            RequestRecord::of(&req, Some(req.at), Some(finished), RequestOutcome::Degraded);
+        self.close(Some(idx), record, Some(answer), 0.0, req_ctx.span_id());
     }
 
     /// Occupies one worker with `req`. Failures are instantaneous, so the
     /// worker stays idle and the caller's drain loop keeps pulling.
     ///
-    /// When tracing, the span tree for a worker-served request is built
-    /// here: `req_ctx` becomes the `server.request` span, `svc_ctx` the
-    /// `server.service` span the backend nests its own subtree under.
-    /// Both are recorded only once the outcome is known, so a failed
+    /// `req_ctx` becomes the `server.request` span and `svc_ctx` the
+    /// `server.service` span the backend nests its own subtree under;
+    /// both are recorded only once the outcome is known, so a failed
     /// request leaves a `server.failed` point and no half-open spans.
     fn start_service(&mut self, now: f64, idx: usize, req: Request, heap: &mut EventHeap<Event>) {
-        let req_ctx = self.root.child();
+        let req_ctx = self.sink.root.child();
         let svc_ctx = req_ctx.child();
         // Backends stamp their spans on the platform's epoch clock while
         // the server runs from 0, so the context handed down is rebased
         // onto the server clock: the backend subtree then nests exactly
-        // inside the `server.service` interval recorded below.
-        let backend_ctx = svc_ctx
-            .clone()
-            .rebased(now - self.platform.now().as_secs() as f64);
+        // inside the `server.service` interval.
+        let backend_ctx = svc_ctx.clone().rebased(now - self.sink.epoch_secs);
         let server = &mut self.servers[idx];
         match server
             .backend
@@ -822,75 +691,31 @@ impl<'p> ServerSim<'p> {
             Ok(resp) => {
                 server.idle_workers -= 1;
                 let finished = now + resp.response_secs;
-                server.summary.completed += 1;
-                server.summary.busy_secs += resp.response_secs;
-                if resp.served_from_cache {
-                    server.summary.cache_hits += 1;
-                }
-                if req_ctx.is_enabled() {
-                    let tool = req.tool.abbrev();
-                    let target = req.target.to_string();
-                    req_ctx.span(names::SERVER_QUEUE_WAIT, req.at, now, &[("tool", tool)]);
-                    let source = if resp.served_from_cache {
-                        "cache"
-                    } else {
-                        "fresh"
-                    };
-                    svc_ctx.record(
-                        names::SERVER_SERVICE,
-                        now,
-                        finished,
-                        &[("tool", tool), ("source", source)],
-                    );
-                    req_ctx.record(
-                        names::SERVER_REQUEST,
-                        req.at,
-                        finished,
-                        &[
-                            ("tool", tool),
-                            ("target", &target),
-                            ("outcome", "completed"),
-                        ],
-                    );
-                }
-                self.records.push(RequestRecord {
-                    id: req.id,
-                    tool: req.tool,
-                    target: req.target,
-                    arrived: req.at,
-                    started: Some(now),
-                    finished: Some(finished),
-                    outcome: RequestOutcome::Completed {
-                        cached: resp.served_from_cache,
-                    },
-                });
-                self.persist_completion(&req, finished, "completed", &resp);
-                self.observe_monitor(
-                    req.tool,
-                    finished,
-                    Some(finished - req.at),
-                    true,
+                let outcome = RequestOutcome::Completed {
+                    cached: resp.served_from_cache,
+                };
+                let answer = Answer {
+                    req_ctx: &req_ctx,
+                    svc_ctx: &svc_ctx,
+                    response: &resp,
+                };
+                let record = RequestRecord::of(&req, Some(now), Some(finished), outcome);
+                self.close(
+                    Some(idx),
+                    record,
+                    Some(answer),
+                    resp.response_secs,
                     req_ctx.span_id(),
                 );
                 heap.push(finished, Event::WorkerDone { server: idx });
             }
             Err(_) => {
-                server.summary.failed += 1;
-                self.trace_refusal(names::SERVER_FAILED, now, &req);
-                self.records.push(RequestRecord {
-                    id: req.id,
-                    tool: req.tool,
-                    target: req.target,
-                    arrived: req.at,
-                    started: Some(now),
-                    finished: Some(now),
-                    outcome: RequestOutcome::Failed,
-                });
                 // The request and service span ids were allocated before
                 // the backend ran, so any API-fault evidence the backend
                 // traced hangs under them: hand the monitor that tree as
                 // the failure exemplar.
-                self.observe_monitor(req.tool, now, Some(now - req.at), false, req_ctx.span_id());
+                let record = RequestRecord::of(&req, Some(now), Some(now), RequestOutcome::Failed);
+                self.close(Some(idx), record, None, 0.0, req_ctx.span_id());
             }
         }
     }
@@ -905,18 +730,8 @@ impl<'p> ServerSim<'p> {
                 break;
             };
             if self.config.deadline_secs.is_some_and(|d| now - req.at > d) {
-                self.servers[idx].summary.expired += 1;
-                self.trace_refusal(names::SERVER_EXPIRED, now, &req);
-                self.records.push(RequestRecord {
-                    id: req.id,
-                    tool: req.tool,
-                    target: req.target,
-                    arrived: req.at,
-                    started: None,
-                    finished: Some(now),
-                    outcome: RequestOutcome::Expired,
-                });
-                self.observe_monitor(req.tool, now, None, false, None);
+                let record = RequestRecord::of(&req, None, Some(now), RequestOutcome::Expired);
+                self.close(Some(idx), record, None, 0.0, None);
                 continue;
             }
             self.start_service(now, idx, req, heap);
@@ -928,6 +743,7 @@ impl<'p> ServerSim<'p> {
 mod tests {
     use super::*;
     use fakeaudit_detectors::{AuditOutcome, VerdictCounts};
+    use fakeaudit_telemetry::analyze::names;
     use fakeaudit_telemetry::TraceEvent;
     use fakeaudit_twittersim::SimTime;
 
@@ -1109,6 +925,16 @@ mod tests {
             .find(|r| r.outcome == RequestOutcome::Degraded)
             .unwrap();
         assert_eq!(degraded.latency(), Some(0.5));
+        // Stale answers occupy no worker: busy time is the completed
+        // requests' service time alone.
+        let served: f64 = report
+            .records
+            .iter()
+            .filter(|r| matches!(r.outcome, RequestOutcome::Completed { .. }))
+            .map(RequestRecord::service_secs)
+            .sum();
+        assert_eq!(report.per_tool[0].busy_secs, served);
+        assert_eq!(served, 20.0);
     }
 
     #[test]
@@ -1239,36 +1065,6 @@ mod tests {
         assert!((report.utilisation() - 1.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn from_records_matches_simulated_aggregates() {
-        let platform = Platform::new();
-        let config = ServerConfig {
-            workers_per_tool: 1,
-            queue_capacity: 2,
-            policy: OverloadPolicy::Shed,
-            ..ServerConfig::default()
-        };
-        let trace: Vec<Request> = (0..8)
-            .map(|i| request(i, 0.0, ToolId::FakeClassifier))
-            .collect();
-        let simulated = sim(&platform, config).run(&trace);
-        let rebuilt =
-            ServerReport::from_records(simulated.records.clone(), config, simulated.makespan);
-        assert_eq!(rebuilt.offered(), simulated.offered());
-        assert_eq!(rebuilt.completed(), simulated.completed());
-        assert_eq!(rebuilt.shed(), simulated.shed());
-        assert_eq!(rebuilt.failed(), simulated.failed());
-        assert_eq!(rebuilt.shed_rate(), simulated.shed_rate());
-        assert_eq!(
-            rebuilt.latency_percentile(0.95),
-            simulated.latency_percentile(0.95)
-        );
-        assert_eq!(rebuilt.per_tool.len(), 1);
-        assert_eq!(rebuilt.per_tool[0].tool, Some(ToolId::FakeClassifier));
-        // Busy seconds are re-derived from per-record service times.
-        assert!((rebuilt.per_tool[0].busy_secs - simulated.per_tool[0].busy_secs).abs() < 1e-9);
-    }
-
     /// A backend whose every serve errors — exercises the failed path.
     struct FailingBackend;
 
@@ -1338,7 +1134,7 @@ mod tests {
         }
         waits.sort_by(f64::total_cmp);
         assert_eq!(waits, vec![0.0, 10.0], "second request queued 10 s");
-        // Live metrics mirror the post-hoc record_into path.
+        // The close path counts and observes every answered request.
         let snap = tel.snapshot();
         let labels = [("tool", ToolId::FakeClassifier.abbrev())];
         assert_eq!(snap.counter("server.completed", &labels), Some(2));
@@ -1453,32 +1249,6 @@ mod tests {
     }
 
     #[test]
-    fn record_into_skips_spans_for_unanswered_requests() {
-        let platform = Platform::new();
-        let mut s = ServerSim::new(&platform, ServerConfig::default());
-        s.register(Box::new(FailingBackend));
-        let report = s.run(&[request(0, 0.0, ToolId::FakeClassifier)]);
-        assert_eq!(report.failed(), 1);
-
-        let tel = Telemetry::enabled();
-        report.record_into(&tel);
-        let events = tel.events();
-        assert!(!events.iter().any(|e| e.name == names::SERVER_REQUEST));
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| e.name == names::SERVER_FAILED)
-                .count(),
-            1
-        );
-        let labels = [("tool", ToolId::FakeClassifier.abbrev())];
-        assert!(tel
-            .snapshot()
-            .histogram("server.latency_secs", &labels)
-            .is_none());
-    }
-
-    #[test]
     fn persisted_run_is_byte_deterministic_and_scannable() {
         use crate::persist::flush_writer;
         use fakeaudit_store::{Projection, ScanOptions, Store, StoreWriter};
@@ -1558,15 +1328,16 @@ mod tests {
         let trace: Vec<Request> = (0..5)
             .map(|i| request(i, 0.0, ToolId::FakeClassifier))
             .collect();
-        let report = sim(&platform, config).run(&trace);
+        let tel = Telemetry::enabled();
+        let mut s = ServerSim::with_telemetry(&platform, config, tel.clone());
+        s.register(Box::new(FakeBackend::new(ToolId::FakeClassifier, 10.0)));
+        let report = s.run(&trace);
         // Queue waits 0, 10, 20, 30, 40. Repeated calls hit the cached
         // sorted vector and stay self-consistent.
         assert_eq!(report.queue_wait_percentile(0.5), 20.0);
         assert_eq!(report.queue_wait_percentile(0.5), 20.0);
         // The exact path and the histogram path agree at the clamped
         // extremes, where bucketing cannot move the estimate.
-        let tel = Telemetry::enabled();
-        report.record_into(&tel);
         let snap = tel.snapshot();
         let labels = [("tool", ToolId::FakeClassifier.abbrev())];
         let hist = snap.histogram("server.queue_wait_secs", &labels).unwrap();
